@@ -5,6 +5,10 @@
 //! cargo run --release -p sid-bench --bin alert_storm [-- --quick]
 //! ```
 //!
+//! `--quick` runs only the fixture seed, with every assertion below
+//! still enforced, and writes nothing: the committed
+//! `results/BENCH_alert.json` only ever holds a full run.
+//!
 //! Each storm seed expands into the convoy scenario from `sid-dst`
 //! (three staggered intruders, Gilbert–Elliott burst loss, a one-token
 //! alert bucket and a scheduled invalid + valid detection hot reload)
@@ -220,7 +224,11 @@ fn main() {
             wall_secs: wall.elapsed().as_secs_f64(),
         },
     };
-    write_json("BENCH_alert", &report);
+    if quick {
+        println!("\n[quick run: results/BENCH_alert.json left untouched]");
+    } else {
+        write_json("BENCH_alert", &report);
+    }
     println!(
         "alert_storm: OK — {simulations} simulations in {:.1} s wall",
         report.wall.wall_secs

@@ -5,6 +5,10 @@
 //! cargo run --release -p sid-bench --bin dsp_bench [-- --quick]
 //! ```
 //!
+//! `--quick` is a smoke run: 20 iterations instead of 200, every
+//! agreement assertion still enforced, and nothing written — the
+//! committed `results/BENCH_dsp.json` only ever holds a full run.
+//!
 //! Four sections, each timing the fast kernel against the path it
 //! replaced (all numbers measured on this machine, nothing extrapolated):
 //!
@@ -284,5 +288,9 @@ fn main() {
         goertzel,
         classify,
     };
-    write_json("BENCH_dsp", &report);
+    if quick {
+        println!("\n[quick run: results/BENCH_dsp.json left untouched]");
+    } else {
+        write_json("BENCH_dsp", &report);
+    }
 }

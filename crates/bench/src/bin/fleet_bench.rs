@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use sid_bench::common::write_json;
+use sid_bench::common::{committed_baseline, write_json};
 use sid_core::{DutyCycleConfig, IntrusionDetectionSystem, SystemConfig};
 use sid_net::{NeighborIndex, Position, Topology};
 use sid_obs::fnv1a;
@@ -258,30 +258,12 @@ fn print_report(r: &FleetReport) {
     );
 }
 
-fn committed_real_time_ratio() -> Result<f64, String> {
-    let path = std::path::Path::new("results/BENCH_fleet.json");
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline: serde::Value =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    baseline
-        .as_map()
-        .and_then(|m| serde::map_get(m, "real_time_ratio").ok())
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{} has no real_time_ratio", path.display()))
-}
-
 /// The `--check` gate: quick measurement, hard identity asserts, exit
 /// non-zero unless the fleet beats real time and stays within
 /// [`CHECK_FLOOR`]× of the committed baseline. Writes no JSON.
 fn run_check() -> ! {
-    let committed = match committed_real_time_ratio() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("fleet_bench --check: {e}");
-            std::process::exit(2);
-        }
-    };
+    let committed =
+        committed_baseline("fleet_bench", "results/BENCH_fleet.json", &["real_time_ratio"]);
     let report = measure(true);
     print_report(&report);
     if !report.index_tables_identical {

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use sid_bench::common::write_json;
+use sid_bench::common::{committed_baseline, write_json};
 use sid_dst::{Sabotage, Scenario};
 use sid_serve::{SessionId, SessionManager, SessionReport, SessionSpec};
 
@@ -218,31 +218,13 @@ fn print_report(r: &ServeReport) {
     );
 }
 
-fn committed_real_time_ratio() -> Result<f64, String> {
-    let path = std::path::Path::new("results/BENCH_serve.json");
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline: serde::Value =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    baseline
-        .as_map()
-        .and_then(|m| serde::map_get(m, "real_time_ratio").ok())
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{} has no real_time_ratio", path.display()))
-}
-
 /// The `--check` gate: quick measurement, hard determinism asserts,
 /// exit non-zero unless the multiplexed service beats real time and
 /// stays within [`CHECK_FLOOR`]× of the committed baseline. Writes no
 /// JSON.
 fn run_check() -> ! {
-    let committed = match committed_real_time_ratio() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("serve_bench --check: {e}");
-            std::process::exit(2);
-        }
-    };
+    let committed =
+        committed_baseline("serve_bench", "results/BENCH_serve.json", &["real_time_ratio"]);
     let report = measure(true);
     print_report(&report);
     if !report.fingerprints_identical {

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use sid_bench::common::{harbor_sea, northbound_scene, write_json};
+use sid_bench::common::{committed_baseline, harbor_sea, northbound_scene, write_json};
 use sid_core::{IntrusionDetectionSystem, SystemConfig};
 use sid_ocean::Vec2;
 use sid_stream::{StreamConfig, StreamDriverConfig, StreamEngine, StreamExt};
@@ -189,35 +189,15 @@ fn bench_driver(quick: bool) -> DriverComparison {
 /// Fraction of the committed throughput the gate still accepts.
 const CHECK_FLOOR: f64 = 0.8;
 
-/// The committed engine throughput from `results/BENCH_stream.json`,
-/// read *before* any measurement so a failing run cannot judge itself
-/// against numbers it produced.
-fn committed_samples_per_sec() -> Result<f64, String> {
-    let path = std::path::Path::new("results/BENCH_stream.json");
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline: serde::Value =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    baseline
-        .as_map()
-        .and_then(|m| serde::map_get(m, "engine").ok())
-        .and_then(|engine| engine.as_map())
-        .and_then(|m| serde::map_get(m, "samples_per_sec").ok())
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{} has no engine.samples_per_sec", path.display()))
-}
-
 /// The `--check` regression gate: measure the engine section and exit
 /// non-zero if throughput dropped more than 20% below the committed
 /// baseline. Writes no JSON.
 fn run_check(quick: bool, threads: usize) -> ! {
-    let committed = match committed_samples_per_sec() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("stream_bench --check: {e}");
-            std::process::exit(2);
-        }
-    };
+    let committed = committed_baseline(
+        "stream_bench",
+        "results/BENCH_stream.json",
+        &["engine", "samples_per_sec"],
+    );
     let engine = bench_engine(quick);
     let floor = CHECK_FLOOR * committed;
     println!(

@@ -86,6 +86,31 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Reads the committed baseline a `--check` gate is judged against: the
+/// number at the nested object-key path `keys` in the JSON file at
+/// `path`. Call it *before* measuring, so a failing run cannot judge
+/// itself against numbers it produced. A missing or unparsable file, or
+/// a missing key, is a gate failure: it prints `"<gate> --check: …"` and
+/// exits the process with status 2 (a regression is status 1, reported
+/// by the caller).
+pub fn committed_baseline(gate: &str, path: &str, keys: &[&str]) -> f64 {
+    let read = || -> Result<f64, String> {
+        let json = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let baseline: serde::Value =
+            serde_json::from_str(&json).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        keys.iter()
+            .try_fold(&baseline, |value, key| {
+                value.as_map().and_then(|m| serde::map_get(m, key).ok())
+            })
+            .and_then(serde::Value::as_f64)
+            .ok_or_else(|| format!("{path} has no {}", keys.join(".")))
+    };
+    read().unwrap_or_else(|e| {
+        eprintln!("{gate} --check: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Formats a probability as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:5.1} %", 100.0 * x)

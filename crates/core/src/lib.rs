@@ -44,12 +44,12 @@
 //!
 //! | Subsystem | What it adds | Module / crate |
 //! |---|---|---|
-//! | event-driven scheduler | skips idle ticks, lazily charges sleepers; journal-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] |
+//! | event-driven scheduler | skips idle ticks, lazily charges sleepers; journal-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] on `sid-net`'s `EventScheduler` |
 //! | spectral front-end | real-input FFT, sliding STFT and Goertzel band power behind the eq. 7–8 / Fig. 6–7 classifiers (DESIGN.md §14) | `sid-dsp`, [`classify::SpectralClassifier`] |
 //! | streaming engine | push-based ingest of the eq. 4–8 detector with bounded rings and serde snapshot/restore (DESIGN.md §12) | `sid-stream` |
 //! | alerting edge | severity grading, token-bucket rate limiting and storm coalescing downstream of sink confirmation (DESIGN.md §13) | `sid-alert`, wired via `SystemConfig::alert` |
 //! | fleet index | spatial-hash neighbor tables, byte-identical to the brute-force scan (DESIGN.md §16) | `sid-net` (`Topology`, `NeighborIndex`) |
-//! | region sharding | Phase-A sensing fanned per spatial shard, radio deliveries on per-shard lanes merged in `(time, seq)` order (DESIGN.md §17) | `sid-net` (`ShardMap`), [`IntrusionDetectionSystem::with_shards`] |
+//! | region sharding | Phase-A sensing fanned to the worker pool one spatial shard per task; radio deliveries stay on the single `(time, seq)` queue (DESIGN.md §17) | `sid-net` (`ShardMap`), [`IntrusionDetectionSystem::with_shards`] |
 //! | multi-tenant service | N sessions multiplexed on one pool with deterministic per-tenant journals and checkpoint/migrate/resume (DESIGN.md §17) | `sid-serve` |
 //!
 //! # Examples
@@ -142,7 +142,7 @@ pub type Pipeline = IntrusionDetectionSystem;
 pub use preprocess::{preprocess_offline, Preprocessor};
 pub use report::{ClusterDetection, NodeReport, SidMessage};
 pub use retune::{DetectionRetune, RetuneError};
-pub use sched::{EventHeap, EventTime, SchedEvent};
+pub use sched::SchedEvent;
 pub use sink::{Incident, IncidentState, SinkTracker, TrackerConfig};
 pub use speed::{SpeedEstimate, SpeedError};
 pub use threshold::AdaptiveThreshold;

@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 
 use sid_alert::{AlertConfig, AlertEdge, AlertInput};
 use sid_net::{
-    CongestionModel, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, GilbertElliott, Network,
-    NodeId, RadioModel, ShardMap, SyncModel, Topology,
+    CongestionModel, EventScheduler, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig,
+    GilbertElliott, Network, NodeId, RadioModel, ShardMap, SyncModel, Topology,
 };
 use sid_obs::{Event, GaugeId, Obs, Stage};
 use sid_ocean::{Scene, Vec2};
@@ -29,7 +29,7 @@ use crate::config::DetectorConfig;
 use crate::node_detect::NodeDetector;
 use crate::report::{ClusterDetection, NodeReport, SidMessage};
 use crate::retune::DetectionRetune;
-use crate::sched::{EventHeap, EventTime, SchedEvent};
+use crate::sched::SchedEvent;
 use crate::sink::{SinkTracker, TrackerConfig};
 
 /// Full-system configuration.
@@ -332,11 +332,9 @@ pub struct IntrusionDetectionSystem {
     /// slept; the event driver turns each into a next-tick `DutyWake`.
     wake_dirty: Vec<usize>,
     /// Region sharding ([`Self::with_shards`]): `None` runs unsharded.
-    /// With K > 1 shards, Phase A sensing fans out by spatial shard and
-    /// the network's delivery queue is partitioned into K destination
-    /// lanes — both proven byte-identical to the unsharded run (sensing
-    /// is pure and placed by index; lanes share one global sequence
-    /// counter and merge by `(time, seq)`).
+    /// With K > 1 shards, Phase A sensing is grouped into one pool task
+    /// per spatial shard — byte-identical to the unsharded run, since
+    /// sensing is pure and its results are placed by index.
     shard_map: Option<ShardMap>,
 }
 
@@ -485,24 +483,16 @@ impl IntrusionDetectionSystem {
 
     /// Partitions the deployment into `shards` contiguous spatial
     /// regions ([`ShardMap`], cell-column boundaries shared with the
-    /// spatial-hash neighbor index) that advance concurrently inside
-    /// each tick: Phase A sensing fans out shard-by-shard on the worker
-    /// pool, and the network's delivery queue splits into one lane per
-    /// shard, merged back by `(time, seq)`. Every journal byte is
-    /// identical to the unsharded run — sensing is pure and results are
-    /// placed by index, Phase B stays sequential in node order, and the
-    /// lane merge reproduces the single-queue delivery order exactly
-    /// (the DST `shard_equivalence` oracle enforces this on fuzzed
-    /// scenarios). `shards <= 1` removes the partition.
+    /// spatial-hash neighbor index) that group Phase-A sensing: each
+    /// tick hands the worker pool one task per shard instead of one per
+    /// node. Nothing else is sharded — Phase B stays sequential in node
+    /// order and radio deliveries stay on the network's single
+    /// `(time, seq)` queue. Every journal byte is identical to the
+    /// unsharded run, because sensing is pure and its results are placed
+    /// by index (the DST `shard_equivalence` oracle enforces this on
+    /// fuzzed scenarios). `shards <= 1` removes the partition.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        if shards <= 1 {
-            self.network.set_shards(&ShardMap::single(self.topology.len()));
-            self.shard_map = None;
-        } else {
-            let map = ShardMap::from_topology(&self.topology, shards);
-            self.network.set_shards(&map);
-            self.shard_map = Some(map);
-        }
+        self.shard_map = (shards > 1).then(|| ShardMap::from_topology(&self.topology, shards));
         self
     }
 
@@ -1441,7 +1431,12 @@ impl IntrusionDetectionSystem {
     /// either.
     ///
     /// [`EnergyBudget::sleep_ticks_until_depletion`]: sid_sensor::EnergyBudget::sleep_ticks_until_depletion
-    fn schedule_battery_check(&self, heap: &mut EventHeap, idx: usize, steps: u64) {
+    fn schedule_battery_check(
+        &self,
+        heap: &mut EventScheduler<SchedEvent>,
+        idx: usize,
+        steps: u64,
+    ) {
         let k = self.nodes[idx]
             .energy()
             .sleep_ticks_until_depletion(self.tick_dt());
@@ -1453,11 +1448,7 @@ impl IntrusionDetectionSystem {
             return;
         }
         let when = self.now + (check_tick - self.tick_index) as f64 * self.tick_dt();
-        heap.schedule(
-            EventTime::Absolute(when),
-            self.now,
-            SchedEvent::BatteryCheck(idx),
-        );
+        heap.schedule(when, SchedEvent::BatteryCheck(idx));
     }
 
     /// Advances the simulation by `duration` seconds on the event-driven
@@ -1468,7 +1459,7 @@ impl IntrusionDetectionSystem {
     /// `scheduler_equivalence` oracle enforces it on fuzzed scenarios.
     /// The difference is purely mechanical. `run` touches all N nodes
     /// every tick; this driver keeps a sorted active set plus a
-    /// time-ordered [`EventHeap`] of typed wake-ups ([`SchedEvent`]) and
+    /// time-ordered [`EventScheduler`] of typed wake-ups ([`SchedEvent`]) and
     /// does per-tick work proportional to what is actually due:
     ///
     /// * Sleeping, failed, and outage nodes schedule no per-tick work.
@@ -1514,7 +1505,7 @@ impl IntrusionDetectionSystem {
         self.wake_dirty.clear();
 
         let duty = self.config.duty_cycle.enabled;
-        let mut heap = EventHeap::new();
+        let mut heap = EventScheduler::new();
         let mut active_list: Vec<usize> = Vec::with_capacity(n);
         for idx in 0..n {
             if self.failed[idx] {
@@ -1525,29 +1516,25 @@ impl IntrusionDetectionSystem {
                 self.active[idx] = true;
                 active_list.push(idx);
                 if duty && !self.sentinel[idx] {
-                    heap.schedule(
-                        EventTime::Absolute(self.wake_until[idx]),
-                        self.now,
-                        SchedEvent::DutySleep(idx),
-                    );
+                    heap.schedule(self.wake_until[idx], SchedEvent::DutySleep(idx));
                 }
             } else {
                 if let Some(t) = self.outage_until[idx] {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::OutageEnd(idx));
+                    heap.schedule(t, SchedEvent::OutageEnd(idx));
                 }
                 self.schedule_battery_check(&mut heap, idx, steps);
             }
         }
         let mut fault_marker = self.fault_plan.next_time();
         if let Some(t) = fault_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::FaultDue);
+            heap.schedule(t, SchedEvent::FaultDue);
         }
         for &(t, _) in &self.retunes {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::RetuneAt);
+            heap.schedule(t, SchedEvent::RetuneAt);
         }
         let mut delivery_marker = self.network.next_arrival();
         if let Some(t) = delivery_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::RadioDelivery);
+            heap.schedule(t, SchedEvent::RadioDelivery);
         }
         let mut cluster_marker = self
             .clusters
@@ -1555,11 +1542,11 @@ impl IntrusionDetectionSystem {
             .map(|c| c.head.expires_at())
             .min_by(f64::total_cmp);
         if let Some(t) = cluster_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::ClusterDeadline);
+            heap.schedule(t, SchedEvent::ClusterDeadline);
         }
         let mut alert_marker = self.alert.next_flush_at();
         if let Some(t) = alert_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::AlertFlush);
+            heap.schedule(t, SchedEvent::AlertFlush);
         }
 
         // Per-tick scratch, hoisted so the loop allocates nothing.
@@ -1604,7 +1591,6 @@ impl IntrusionDetectionSystem {
             slept_now.clear();
             while let Some((_, ev)) = heap.pop_due(self.now) {
                 match ev {
-                    SchedEvent::NodeSample(_) => {}
                     SchedEvent::DutyWake(idx) => wake_due.push(idx),
                     SchedEvent::DutySleep(idx) => sleep_due.push(idx),
                     SchedEvent::OutageEnd(idx) => outage_due.push(idx),
@@ -1613,9 +1599,8 @@ impl IntrusionDetectionSystem {
                     SchedEvent::RadioDelivery => delivery_marker = None,
                     SchedEvent::ClusterDeadline => cluster_marker = None,
                     SchedEvent::AlertFlush => alert_marker = None,
-                    // Retunes consult `self.retunes` directly below;
-                    // sink expiry is handled inside `ingest`.
-                    SchedEvent::RetuneAt | SchedEvent::SinkExpiry => {}
+                    // Retunes consult `self.retunes` directly below.
+                    SchedEvent::RetuneAt => {}
                 }
             }
 
@@ -1640,11 +1625,7 @@ impl IntrusionDetectionSystem {
                             // tick: route through the recovery bucket.
                             outage_due.push(idx);
                             if let Some(t) = self.outage_until[idx] {
-                                heap.schedule(
-                                    EventTime::Absolute(t),
-                                    self.now,
-                                    SchedEvent::OutageEnd(idx),
-                                );
+                                heap.schedule(t, SchedEvent::OutageEnd(idx));
                             }
                             if self.active[idx] {
                                 // Drops into outage-sleep: its first
@@ -1700,11 +1681,7 @@ impl IntrusionDetectionSystem {
                         newly_active.push(idx);
                         membership_dirty = true;
                         if duty && !self.sentinel[idx] {
-                            heap.schedule(
-                                EventTime::Absolute(self.wake_until[idx]),
-                                self.now,
-                                SchedEvent::DutySleep(idx),
-                            );
+                            heap.schedule(self.wake_until[idx], SchedEvent::DutySleep(idx));
                         }
                     }
                 }
@@ -1720,11 +1697,7 @@ impl IntrusionDetectionSystem {
                 if self.wake_until[idx] > self.now {
                     // The lease was extended after this event was
                     // scheduled: lazy deletion, re-arm at the new end.
-                    heap.schedule(
-                        EventTime::Absolute(self.wake_until[idx]),
-                        self.now,
-                        SchedEvent::DutySleep(idx),
-                    );
+                    heap.schedule(self.wake_until[idx], SchedEvent::DutySleep(idx));
                     continue;
                 }
                 self.active[idx] = false;
@@ -1751,11 +1724,7 @@ impl IntrusionDetectionSystem {
                 newly_active.push(idx);
                 membership_dirty = true;
                 if duty && !self.sentinel[idx] {
-                    heap.schedule(
-                        EventTime::Absolute(self.wake_until[idx]),
-                        self.now,
-                        SchedEvent::DutySleep(idx),
-                    );
+                    heap.schedule(self.wake_until[idx], SchedEvent::DutySleep(idx));
                 }
             }
 
@@ -1811,7 +1780,7 @@ impl IntrusionDetectionSystem {
                 // Nothing else will force the next tick: let the
                 // pending depletion checks do it.
                 let idx = self.energy_dirty[0];
-                heap.schedule(EventTime::Delta(dt), self.now, SchedEvent::BatteryCheck(idx));
+                heap.schedule(self.now + dt, SchedEvent::BatteryCheck(idx));
             }
             if !self.wake_dirty.is_empty() {
                 // Invites recorded during deliveries: each sleeping
@@ -1822,14 +1791,14 @@ impl IntrusionDetectionSystem {
                 for i in 0..self.wake_dirty.len() {
                     let idx = self.wake_dirty[i];
                     if !self.failed[idx] && !self.active[idx] {
-                        heap.schedule(EventTime::Delta(dt), self.now, SchedEvent::DutyWake(idx));
+                        heap.schedule(self.now + dt, SchedEvent::DutyWake(idx));
                     }
                 }
                 self.wake_dirty.clear();
             }
             if let Some(t) = self.network.next_arrival() {
                 if delivery_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::RadioDelivery);
+                    heap.schedule(t, SchedEvent::RadioDelivery);
                     delivery_marker = Some(t);
                 }
             }
@@ -1840,19 +1809,19 @@ impl IntrusionDetectionSystem {
                 .min_by(f64::total_cmp);
             if let Some(t) = next_close {
                 if cluster_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::ClusterDeadline);
+                    heap.schedule(t, SchedEvent::ClusterDeadline);
                     cluster_marker = Some(t);
                 }
             }
             if let Some(t) = self.alert.next_flush_at() {
                 if alert_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::AlertFlush);
+                    heap.schedule(t, SchedEvent::AlertFlush);
                     alert_marker = Some(t);
                 }
             }
             if let Some(t) = self.fault_plan.next_time() {
                 if fault_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::FaultDue);
+                    heap.schedule(t, SchedEvent::FaultDue);
                     fault_marker = Some(t);
                 }
             }
@@ -2311,9 +2280,11 @@ mod tests {
 
     #[test]
     fn sharded_run_is_byte_identical_to_unsharded() {
-        // The same scenario unsharded, 2-sharded, and 4-sharded, on both
+        // The same scenario unsharded and 2-, 4- and 16-sharded, on both
         // drivers: every journal must be byte-identical, and the shard
-        // accessor must report the partition.
+        // accessor must report the partition. The 5x5 grid occupies only
+        // 4 radio-range cell columns, so K = 16 leaves most Phase-A
+        // groups empty.
         let journal_of = |shards: usize, events: bool| {
             let obs = sid_obs::Obs::in_memory();
             let mut sys = IntrusionDetectionSystem::new(build_scene(2, true), quiet_config(), 43)
@@ -2332,7 +2303,7 @@ mod tests {
         };
         let (reference, ref_trace) = journal_of(1, false);
         assert!(!reference.is_empty());
-        for shards in [2usize, 4] {
+        for shards in [2usize, 4, 16] {
             for events in [false, true] {
                 let (journal, trace) = journal_of(shards, events);
                 assert_eq!(journal, reference, "shards={shards} events={events}");

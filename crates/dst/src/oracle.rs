@@ -693,10 +693,9 @@ fn scheduler_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
 }
 
 /// The region-sharding contract: partitioning the deployment into K
-/// spatial shards — Phase A sensing fanned out per shard, radio
-/// deliveries queued on per-shard scheduler lanes and merged back in
-/// `(time, seq)` order — is an *execution strategy*, not a semantic
-/// change. Three legs:
+/// spatial shards — Phase A sensing handed to the worker pool one shard
+/// per task — is an *execution strategy*, not a semantic change. Three
+/// legs:
 ///
 /// 1. sharded `run_events` reruns at K ∈ {2, 4} across 1/2/4/8 worker
 ///    threads must reproduce the unsharded journal, counts and trace

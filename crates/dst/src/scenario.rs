@@ -726,9 +726,8 @@ pub fn execute_events(scenario: &Scenario, sabotage: Sabotage) -> RunReport {
 }
 
 /// Runs a scenario through the event-driven scheduler with the
-/// deployment partitioned into `shards` spatial regions advancing on
-/// concurrent scheduler lanes (cross-shard radio deliveries merge back
-/// in deterministic `(time, seq)` order). The report must be
+/// deployment partitioned into `shards` spatial regions, Phase-A
+/// sensing grouped into one pool task per region. The report must be
 /// byte-identical to [`execute`] at any `(threads, shards)` — the
 /// `shard_equivalence` oracle enforces exactly that.
 pub fn execute_sharded(

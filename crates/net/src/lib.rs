@@ -57,6 +57,6 @@ pub use localization::{trilaterate, LocalizationError, LocalizationFix, RangeMea
 pub use ids::{CellId, NodeId};
 pub use radio::RadioModel;
 pub use shard::ShardMap;
-pub use sim::{CongestionModel, Delivery, EventScheduler, NetStats, Network, ShardedScheduler};
+pub use sim::{CongestionModel, Delivery, EventScheduler, NetStats, Network};
 pub use timesync::SyncModel;
 pub use topology::{NeighborIndex, Position, Topology, SPATIAL_HASH_THRESHOLD};

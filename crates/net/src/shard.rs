@@ -2,13 +2,12 @@
 //!
 //! A [`ShardMap`] splits a deployment into `K` contiguous regions along
 //! the same cell grid the spatial-hash neighbor index uses (cell size =
-//! radio range, see [`crate::topology`]). Shards are the unit of
-//! concurrency for region-parallel drivers: pure per-node work fans out
-//! by shard, while cross-shard radio traffic is merged back into one
-//! deterministic delivery order by the lane-partitioned scheduler in
-//! [`crate::sim`]. The partition is a pure function of node positions,
-//! radio range, and `K` — no RNG — so every run over the same topology
-//! gets the same map.
+//! radio range, see [`crate::topology`]). Its one job is grouping pure
+//! per-node work: the detection pipeline's Phase-A sensing is handed to
+//! the worker pool one shard per task. Radio traffic is not sharded —
+//! every delivery stays on the network's single `(time, seq)` queue. The
+//! partition is a pure function of node positions, radio range, and
+//! `K` — no RNG — so every run over the same topology gets the same map.
 
 use crate::topology::Topology;
 
@@ -49,8 +48,8 @@ impl ShardMap {
     ///
     /// `shards` is clamped to at least 1; asking for more shards than
     /// there are occupied cell columns leaves the surplus shards empty
-    /// (the map still reports `shards()` lanes so schedulers can size
-    /// themselves from it).
+    /// (the map still reports all `shards()` groups, so callers can size
+    /// per-shard buffers from it).
     pub fn from_topology(topology: &Topology, shards: usize) -> Self {
         let shards = shards.max(1);
         let n = topology.len();
@@ -90,15 +89,7 @@ impl ShardMap {
         }
     }
 
-    /// The single-shard (unsharded) map over `n` nodes.
-    pub fn single(n: usize) -> Self {
-        ShardMap {
-            shard_of: vec![0; n],
-            shards: 1,
-        }
-    }
-
-    /// Number of shards (lanes), including any empty ones.
+    /// Number of shards, including any empty ones.
     pub fn shards(&self) -> usize {
         self.shards
     }

@@ -15,7 +15,6 @@ use sid_obs::{Event, Obs};
 
 use crate::fault::{BurstState, GilbertElliott};
 use crate::radio::RadioModel;
-use crate::shard::ShardMap;
 use crate::topology::Topology;
 use crate::NodeId;
 
@@ -50,6 +49,18 @@ impl<E> Ord for Scheduled<E> {
 
 /// A generic min-time event queue with stable FIFO ordering for ties.
 ///
+/// This is the system's one `(time, seq)` queue: the network's in-flight
+/// deliveries and the detection pipeline's event-driven wake-ups
+/// (`sid_core::sched`) both run on it.
+///
+/// # Ordering contract
+///
+/// Events pop in ascending time order. Events scheduled for the *same*
+/// time pop in **insertion order**: a monotone sequence number breaks
+/// ties, so replaying the same `schedule` calls yields the same pop
+/// order, bit for bit, however the underlying heap arranges equal keys.
+/// NaN times are rejected at `schedule`, so the order is total.
+///
 /// # Examples
 ///
 /// ```
@@ -58,7 +69,10 @@ impl<E> Ord for Scheduled<E> {
 /// let mut q = EventScheduler::new();
 /// q.schedule(2.0, "later");
 /// q.schedule(1.0, "sooner");
-/// assert_eq!(q.pop_until(1.5), vec![(1.0, "sooner")]);
+/// q.schedule(1.0, "tie"); // same time: insertion order breaks the tie
+/// assert_eq!(q.pop_due(1.0), Some((1.0, "sooner")));
+/// assert_eq!(q.pop_until(1.5), vec![(1.0, "tie")]);
+/// assert_eq!(q.next_time(), Some(2.0));
 /// assert_eq!(q.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -106,148 +120,25 @@ impl<E> EventScheduler<E> {
         self.heap.peek().map(|s| s.time)
     }
 
+    /// Pops the earliest event if it is due: `time <= now`, so an event
+    /// at exactly `now` counts as due.
+    pub fn pop_due(&mut self, now: f64) -> Option<(f64, E)> {
+        if self.heap.peek().is_some_and(|s| s.time <= now) {
+            self.heap.pop().map(|s| (s.time, s.event))
+        } else {
+            None
+        }
+    }
+
     /// Pops every event with `time <= until`, in time order.
     pub fn pop_until(&mut self, until: f64) -> Vec<(f64, E)> {
-        let mut out = Vec::new();
-        while let Some(top) = self.heap.peek() {
-            if top.time > until {
-                break;
-            }
-            let s = self.heap.pop().expect("peeked");
-            out.push((s.time, s.event));
-        }
-        out
+        std::iter::from_fn(|| self.pop_due(until)).collect()
     }
 }
 
 impl<E> Default for EventScheduler<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A lane-partitioned min-time queue with one global sequence counter.
-///
-/// `K` independent lanes (one per region shard, see
-/// [`ShardMap`]) each hold a min-heap, but every insert
-/// draws its tie-break sequence number from a single shared counter.
-/// Popping merges lanes by `(time, seq)`, so the delivered order is
-/// *provably identical* to a single [`EventScheduler`] fed the same
-/// inserts in the same order: both emit the unique total order on
-/// `(time, seq)`, and the shared counter makes `seq` globally unique
-/// regardless of which lane an event lands in. A 1-lane scheduler *is*
-/// the single-queue behavior; region-parallel drivers use K lanes so
-/// shards can enqueue independently and still merge deterministically.
-///
-/// # Examples
-///
-/// ```
-/// use sid_net::ShardedScheduler;
-///
-/// let mut q = ShardedScheduler::new(2);
-/// q.schedule(1, 2.0, "east");
-/// q.schedule(0, 1.0, "west");
-/// q.schedule(1, 1.0, "tie-later"); // same time: global FIFO breaks the tie
-/// assert_eq!(
-///     q.pop_until(5.0),
-///     vec![(1.0, "west"), (1.0, "tie-later"), (2.0, "east")]
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedScheduler<E> {
-    lanes: Vec<BinaryHeap<Scheduled<E>>>,
-    seq: u64,
-}
-
-impl<E> ShardedScheduler<E> {
-    /// Creates an empty scheduler with `lanes` lanes (clamped to ≥ 1).
-    pub fn new(lanes: usize) -> Self {
-        ShardedScheduler {
-            lanes: (0..lanes.max(1)).map(|_| BinaryHeap::new()).collect(),
-            seq: 0,
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Schedules `event` on `lane` at absolute time `time`. The sequence
-    /// number is drawn from the shared counter, so cross-lane ties keep
-    /// global insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN or `lane` is out of range.
-    pub fn schedule(&mut self, lane: usize, time: f64, event: E) {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        self.lanes[lane].push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Total pending events across all lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(BinaryHeap::len).sum()
-    }
-
-    /// Whether no events are pending on any lane.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(BinaryHeap::is_empty)
-    }
-
-    /// Time of the earliest event across all lanes, if any.
-    pub fn next_time(&self) -> Option<f64> {
-        self.lanes
-            .iter()
-            .filter_map(|h| h.peek().map(|s| s.time))
-            .min_by(f64::total_cmp)
-    }
-
-    /// Pops every event with `time <= until`, merged across lanes into
-    /// ascending `(time, seq)` order — byte-for-byte the order a single
-    /// [`EventScheduler`] would deliver.
-    pub fn pop_until(&mut self, until: f64) -> Vec<(f64, E)> {
-        let mut due: Vec<Scheduled<E>> = Vec::new();
-        for lane in &mut self.lanes {
-            while let Some(top) = lane.peek() {
-                if top.time > until {
-                    break;
-                }
-                due.push(lane.pop().expect("peeked"));
-            }
-        }
-        // Each lane's run is already sorted; `seq` is globally unique,
-        // so this sort is a deterministic total order.
-        due.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-        due.into_iter().map(|s| (s.time, s.event)).collect()
-    }
-
-    /// Re-buckets every in-flight event into a new lane layout, keeping
-    /// each event's original `(time, seq)` — pop order is unchanged.
-    /// `lane_of` results are clamped into range.
-    pub fn relane(&mut self, lanes: usize, mut lane_of: impl FnMut(&E) -> usize) {
-        let lanes = lanes.max(1);
-        let pending: Vec<Scheduled<E>> = self
-            .lanes
-            .iter_mut()
-            .flat_map(std::mem::take)
-            .collect();
-        self.lanes = (0..lanes).map(|_| BinaryHeap::new()).collect();
-        for s in pending {
-            let lane = lane_of(&s.event).min(lanes - 1);
-            self.lanes[lane].push(s);
-        }
-    }
-}
-
-impl<E> Default for ShardedScheduler<E> {
-    fn default() -> Self {
-        Self::new(1)
     }
 }
 
@@ -353,13 +244,8 @@ pub struct Network<M> {
     down_count: usize,
     /// Per node: earliest time its radio is free for the next frame.
     egress_free_at: Vec<f64>,
-    /// In-flight deliveries, bucketed by destination shard. With the
-    /// default single lane this behaves exactly like [`EventScheduler`];
-    /// [`set_shards`](Self::set_shards) re-buckets into K lanes whose
-    /// merged pop order is provably identical (shared `seq` counter).
-    queue: ShardedScheduler<Delivery<M>>,
-    /// Destination shard per node (all zeros until `set_shards`).
-    lane_of: Vec<usize>,
+    /// In-flight deliveries in `(arrival time, send order)` order.
+    queue: EventScheduler<Delivery<M>>,
     stats: NetStats,
     /// Observability sink for drop events (no-op by default).
     obs: Obs,
@@ -397,8 +283,7 @@ impl<M: Clone> Network<M> {
             node_down: vec![false; n],
             down_count: 0,
             egress_free_at: vec![0.0; n],
-            queue: ShardedScheduler::new(1),
-            lane_of: vec![0; n],
+            queue: EventScheduler::new(),
             stats: NetStats::default(),
             obs: Obs::noop(),
         }
@@ -457,34 +342,6 @@ impl<M: Clone> Network<M> {
     /// ticks with an arrival actually due, instead of every tick.
     pub fn next_arrival(&self) -> Option<f64> {
         self.queue.next_time()
-    }
-
-    /// Partitions the delivery queue into one lane per shard of `map`,
-    /// bucketing by destination node. In-flight packets are re-bucketed
-    /// with their original `(time, seq)` keys, so delivery order — and
-    /// therefore the journal — is bit-identical to the unsharded queue;
-    /// only the internal storage layout changes. Passing a 1-shard map
-    /// restores the single-lane layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map does not cover exactly this topology's nodes.
-    pub fn set_shards(&mut self, map: &ShardMap) {
-        assert_eq!(
-            map.len(),
-            self.topology.len(),
-            "shard map must cover every node"
-        );
-        self.lane_of = (0..map.len()).map(|i| map.shard_of(i)).collect();
-        let lane_of = &self.lane_of;
-        self.queue
-            .relane(map.shards(), |d: &Delivery<M>| lane_of[d.to.index()]);
-    }
-
-    /// Number of delivery lanes (1 unless [`set_shards`](Self::set_shards)
-    /// installed a partition).
-    pub fn shard_lanes(&self) -> usize {
-        self.queue.lanes()
     }
 
     /// One physical transmission by `sender` at time `now`: steps the
@@ -572,12 +429,6 @@ impl<M: Clone> Network<M> {
         start
     }
 
-    /// Schedules a delivery on its destination's shard lane.
-    fn enqueue(&mut self, time: f64, delivery: Delivery<M>) {
-        let lane = self.lane_of[delivery.to.index()];
-        self.queue.schedule(lane, time, delivery);
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -610,7 +461,7 @@ impl<M: Clone> Network<M> {
         match self.attempt_hop(from, now, rng) {
             Some(latency) => {
                 let start = self.egress_start(from, now);
-                self.enqueue(
+                self.queue.schedule(
                     start + latency,
                     Delivery {
                         from,
@@ -690,7 +541,7 @@ impl<M: Clone> Network<M> {
                 continue;
             }
             reached += 1;
-            self.enqueue(
+            self.queue.schedule(
                 start + latency,
                 Delivery {
                     from,
@@ -721,7 +572,7 @@ impl<M: Clone> Network<M> {
         }
         if from == to {
             // Local delivery: immediate, lossless.
-            self.enqueue(
+            self.queue.schedule(
                 now,
                 Delivery {
                     from,
@@ -749,7 +600,7 @@ impl<M: Clone> Network<M> {
                 None => return false,
             }
         }
-        self.enqueue(
+        self.queue.schedule(
             now + latency,
             Delivery {
                 from,
@@ -830,89 +681,22 @@ mod tests {
     }
 
     #[test]
+    fn pop_due_treats_the_boundary_time_as_due() {
+        let mut q = EventScheduler::new();
+        q.schedule(2.0, "deadline");
+        assert_eq!(q.pop_due(1.999), None, "not due before its time");
+        assert_eq!(q.pop_due(2.0), Some((2.0, "deadline")));
+        assert_eq!(q.pop_due(f64::INFINITY), None);
+    }
+
+    #[test]
     #[should_panic(expected = "event time must not be NaN")]
     fn scheduler_rejects_nan() {
-        EventScheduler::new().schedule(f64::NAN, ());
-    }
-
-    #[test]
-    fn sharded_scheduler_matches_single_queue_order() {
-        // Fuzz a shared insert stream into 1/2/4-lane schedulers and a
-        // plain EventScheduler: pop order must be identical for all.
-        let mut rng = StdRng::seed_from_u64(77);
-        let inserts: Vec<(f64, usize)> = (0..500)
-            .map(|i| ((rng.gen::<f64>() * 8.0).floor() * 0.5, i))
-            .collect();
-        let mut single = EventScheduler::new();
-        let mut lanes: Vec<ShardedScheduler<usize>> =
-            [1, 2, 4].iter().map(|&k| ShardedScheduler::new(k)).collect();
-        for &(t, id) in &inserts {
-            single.schedule(t, id);
-            for q in lanes.iter_mut() {
-                q.schedule(id % q.lanes(), t, id);
-            }
-        }
-        let reference = single.pop_until(f64::INFINITY);
-        for mut q in lanes {
-            assert_eq!(q.pop_until(f64::INFINITY), reference);
-        }
-    }
-
-    #[test]
-    fn sharded_scheduler_pop_until_is_partial_across_lanes() {
-        let mut q = ShardedScheduler::new(3);
-        for i in 0..9 {
-            q.schedule(i % 3, i as f64, i);
-        }
-        assert_eq!(q.pop_until(4.5).len(), 5);
-        assert_eq!(q.next_time(), Some(5.0));
-        assert_eq!(q.len(), 4);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn relane_preserves_pop_order() {
-        let mut rng = StdRng::seed_from_u64(78);
-        let mut a = ShardedScheduler::new(1);
-        let mut b = ShardedScheduler::new(1);
-        for i in 0..200usize {
-            let t = (rng.gen::<f64>() * 4.0).floor();
-            a.schedule(0, t, i);
-            b.schedule(0, t, i);
-        }
-        // Re-bucket one copy into 4 lanes mid-flight.
-        b.relane(4, |&id| id % 4);
-        assert_eq!(b.lanes(), 4);
-        assert_eq!(
-            a.pop_until(f64::INFINITY),
-            b.pop_until(f64::INFINITY)
-        );
-    }
-
-    #[test]
-    fn sharded_network_polls_identically() {
-        // Same traffic through an unsharded and a 3-sharded network:
-        // identical RNG draws, identical arrival order, identical stats.
-        let topo = Topology::grid(4, 9, 25.0, 30.0);
-        let mut plain: Network<usize> = Network::new(topo.clone(), RadioModel::lossy());
-        let mut sharded: Network<usize> = Network::new(topo.clone(), RadioModel::lossy());
-        sharded.set_shards(&ShardMap::from_topology(&topo, 3));
-        assert_eq!(sharded.shard_lanes(), 3);
-        let mut rng_a = StdRng::seed_from_u64(90);
-        let mut rng_b = StdRng::seed_from_u64(90);
-        for step in 0..40u64 {
-            let now = step as f64 * 0.25;
-            let from = NodeId::from((step as usize * 7) % 36);
-            let to = NodeId::from((step as usize * 11 + 5) % 36);
-            plain.route(from, to, step as usize, now, &mut rng_a);
-            sharded.route(from, to, step as usize, now, &mut rng_b);
-            plain.flood(from, step as usize, now, 2, &mut rng_a);
-            sharded.flood(from, step as usize, now, 2, &mut rng_b);
-            assert_eq!(plain.poll(now), sharded.poll(now));
-            assert_eq!(plain.next_arrival(), sharded.next_arrival());
-        }
-        assert_eq!(plain.poll(f64::INFINITY), sharded.poll(f64::INFINITY));
-        assert_eq!(plain.stats(), sharded.stats());
+        // A NaN deadline is never `<=` any `pop_due` boundary, so it
+        // would never fire; `schedule` refuses it instead.
+        let mut q = EventScheduler::new();
+        q.schedule(1.0, ());
+        q.schedule(f64::NAN, ());
     }
 
     #[test]

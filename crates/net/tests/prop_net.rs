@@ -7,31 +7,96 @@ use rand::SeedableRng;
 use sid_net::{EventScheduler, Network, NodeId, RadioModel, StaticCells, Topology};
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The scheduler's ordering contract: popping drains events in time
+    /// order and, among equal timestamps, in insertion order — for any
+    /// insertion sequence drawn from a small set of times (so ties are
+    /// frequent).
     #[test]
-    fn scheduler_pops_in_time_order(times in prop::collection::vec(0.0..1e6f64, 1..200)) {
+    fn scheduler_pops_time_ordered_and_fifo_within_ties(
+        slots in prop::collection::vec(0u8..6, 1..64),
+    ) {
         let mut q = EventScheduler::new();
-        for (i, &t) in times.iter().enumerate() {
+        let mut inserted: Vec<(f64, usize)> = Vec::new();
+        for (i, &slot) in slots.iter().enumerate() {
+            let t = f64::from(slot) * 0.5;
             q.schedule(t, i);
+            inserted.push((t, i));
         }
-        let out = q.pop_until(f64::INFINITY);
-        prop_assert_eq!(out.len(), times.len());
-        for w in out.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
+        // Expected order: stable sort by time — equal times keep
+        // insertion order, which is exactly the documented contract.
+        let mut expected = inserted;
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let popped: Vec<(f64, usize)> =
+            std::iter::from_fn(|| q.pop_due(f64::INFINITY)).collect();
+        prop_assert_eq!(popped, expected);
+        prop_assert!(q.is_empty());
     }
 
+    /// Two schedulers fed the same equal-timestamp events in different
+    /// permutations each pop in *their own* insertion order — the order
+    /// is a deterministic function of the insertion sequence, never of
+    /// payload values or heap internals.
     #[test]
-    fn scheduler_ties_are_fifo(n in 1usize..100) {
-        let mut q = EventScheduler::new();
-        for i in 0..n {
-            q.schedule(1.0, i);
-        }
-        let out = q.pop_until(2.0);
-        for (i, (_, v)) in out.iter().enumerate() {
-            prop_assert_eq!(*v, i);
-        }
+    fn equal_time_pops_track_insertion_order_for_any_permutation(
+        ids in prop::collection::vec(0usize..1000, 2..32),
+        rotation in 0usize..32,
+    ) {
+        let insert_all = |order: &[usize]| {
+            let mut q = EventScheduler::new();
+            for &id in order {
+                q.schedule(7.0, id);
+            }
+            let mut out = Vec::new();
+            while let Some((t, id)) = q.pop_due(7.0) {
+                prop_assert_eq!(t.to_bits(), 7.0f64.to_bits());
+                out.push(id);
+            }
+            Ok(out)
+        };
+        let rotated: Vec<usize> = {
+            let k = rotation % ids.len();
+            ids[k..].iter().chain(ids[..k].iter()).copied().collect()
+        };
+        prop_assert_eq!(insert_all(&ids)?, ids.clone());
+        prop_assert_eq!(insert_all(&rotated)?, rotated);
     }
 
+    /// A partial drain (`pop_due` with a finite `now`) never yields an
+    /// event past the deadline, and what remains pops later in the same
+    /// global order.
+    #[test]
+    fn partial_drains_respect_the_deadline(
+        slots in prop::collection::vec(0u8..10, 1..48),
+        cut in 0u8..10,
+    ) {
+        let mut q = EventScheduler::new();
+        for (i, &slot) in slots.iter().enumerate() {
+            q.schedule(f64::from(slot), i);
+        }
+        let deadline = f64::from(cut);
+        let mut early = Vec::new();
+        while let Some((t, _)) = q.pop_due(deadline) {
+            prop_assert!(t <= deadline, "popped {t} past deadline {deadline}");
+            early.push(t);
+        }
+        prop_assert!(q.next_time().is_none_or(|t| t > deadline));
+        let mut late = Vec::new();
+        while let Some((t, _)) = q.pop_due(f64::INFINITY) {
+            prop_assert!(t > deadline);
+            late.push(t);
+        }
+        let mut all: Vec<f64> = early.iter().chain(late.iter()).copied().collect();
+        prop_assert_eq!(all.len(), slots.len());
+        all.sort_by(f64::total_cmp);
+        let mut expected: Vec<f64> = slots.iter().map(|&s| f64::from(s)).collect();
+        expected.sort_by(f64::total_cmp);
+        prop_assert_eq!(all, expected);
+    }
+}
+
+proptest! {
     #[test]
     fn grid_hops_match_manhattan(
         rows in 1usize..8,

@@ -5,9 +5,9 @@
 //! independent tenant sessions — each a full detection pipeline with
 //! its own seed, scenario, journal, and alerting edge — over one shared
 //! `sid-exec` worker pool. Inside a session, [`SessionSpec::with_shards`]
-//! partitions the deployment into K spatial regions that advance
-//! concurrently and merge cross-shard radio deliveries back into one
-//! deterministic order (`sid-net`'s lane-partitioned scheduler).
+//! partitions the deployment into K spatial regions whose per-tick
+//! sensing runs as one pool task per region; radio deliveries stay on
+//! the pipeline's single `(time, seq)` queue.
 //!
 //! Everything stays deterministic: a session's journal is a pure
 //! function of its builder + seed + advance schedule, byte-identical at

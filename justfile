@@ -4,7 +4,7 @@ default:
     @just --list
 
 # Tier-1 gate: everything CI requires before merge.
-tier1: build test lint docs obs-smoke dst-smoke alert-smoke dsp-smoke stream-gate sched-smoke fleet-smoke serve-smoke
+tier1: build test lint docs obs-smoke dst-smoke alert-smoke dsp-smoke stream-gate sched-smoke fleet-smoke serve-smoke bench-selftest
 
 # Release build of the whole workspace, including every bench and bin
 # target (keeps the experiment harness compiling, not just the libraries).
@@ -48,8 +48,9 @@ dst-smoke:
 # Alerting-edge smoke (see DESIGN.md §13): the fixture alert storm must
 # ignite (suppressions + coalesced summaries + one rejected and one
 # applied hot reload), pass the alert-suppression oracle, and produce a
-# byte-identical journal at 1/2/4/8 threads. Writes
-# results/BENCH_alert.json; the binary exits non-zero on any violation.
+# byte-identical journal at 1/2/4/8 threads. The binary exits non-zero
+# on any violation; `--quick` writes nothing (the committed
+# results/BENCH_alert.json comes from the full `alert_storm` run).
 alert-smoke:
     cargo run --release -p sid-bench --bin alert_storm -- --quick
 
@@ -78,7 +79,8 @@ bench-dsp:
 
 # Quick spectral front-end smoke: the kernel agreement assertions
 # (Goertzel vs FFT band, fast vs legacy verdict) must hold. Part of
-# tier1; the timing numbers it prints are incidental at this length.
+# tier1; the timing numbers it prints are incidental at this length,
+# and `--quick` writes nothing (results/BENCH_dsp.json is `bench-dsp`'s).
 dsp-smoke:
     cargo run --release -p sid-bench --bin dsp_bench -- --quick
 
@@ -140,3 +142,10 @@ serve-smoke:
 # thread counts plus the migration leg; writes results/BENCH_serve.json.
 bench-serve:
     cargo run --release -p sid-bench --bin serve_bench
+
+# Benchmark self-test: builds the `perfbench/` package against the
+# workspace crates and runs its tests, which pin the seed-1 journal
+# fingerprints of every workload. Part of tier1, so an API change in
+# `crates/` cannot break the benchmark unseen.
+bench-selftest:
+    cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
