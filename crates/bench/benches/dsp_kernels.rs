@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sid_dsp::{
-    butterworth_lowpass_order4, fft_real, goertzel_band_power, rfft_plan, Complex, Fft,
-    LowPassFir, Morlet, MorletConfig, PeakConfig, SlidingStft, Stft, StftConfig, Window,
+    butterworth_lowpass_order4, fft_real, rfft_plan, Complex, Fft, LowPassFir, Morlet,
+    MorletConfig, PeakConfig, SlidingStft, Stft, StftConfig, Window,
 };
 
 fn test_signal(n: usize) -> Vec<f64> {
@@ -52,10 +52,6 @@ fn bench_fft(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("goertzel_ship_band_2048", |b| {
-        let sig = test_signal(2048);
-        b.iter(|| black_box(goertzel_band_power(black_box(&sig), 0.2, 0.8, 50.0).unwrap()))
-    });
     group.finish();
 }
 

@@ -8,7 +8,9 @@
 //!
 //! Usage: `chaos_sweep [trials] [--quick] [--threads N]` — `--quick`
 //! shrinks the grid and trial count to a ~30 s smoke run
-//! (`just chaos-smoke`); `--threads` sizes the worker pool (default:
+//! (`just chaos-smoke`) that writes neither `results/chaos_sweep.json`
+//! nor `results/OBS_summary.json`, only its run summary beside the
+//! journal; `--threads` sizes the worker pool (default:
 //! `SID_THREADS` or the machine's core count). Results are identical at
 //! any thread count.
 
@@ -16,7 +18,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use sid_bench::common::{northbound_scene, pct, quiet_scene, write_json};
+use sid_bench::common::{northbound_scene, pct, quiet_scene, write_json, write_obs_summary};
 use sid_core::{IntrusionDetectionSystem, SystemConfig};
 use sid_net::{FaultPlanConfig, GilbertElliott};
 use sid_obs::{Event, Obs, RunSummary, StageCounts};
@@ -234,9 +236,13 @@ fn main() {
         sweep.dead_fractions.last().expect("non-empty") * 100.0,
         sweep.burst_severities.last().expect("non-empty")
     );
-    write_json("chaos_sweep", &sweep);
+    // A quick run is a smoke test: it leaves the committed sweep and
+    // summary alone and writes its summary only beside its journal.
+    if !quick {
+        write_json("chaos_sweep", &sweep);
+    }
     let summary = RunSummary::new("chaos_sweep", pool.threads(), stage_counts, &env_obs);
-    write_json("OBS_summary", &summary);
+    write_obs_summary(&summary, !quick);
     println!(
         "perf: {} threads, {:.1} s wall, est. {:.2}x speedup vs 1 thread ({:.1} s aggregate cell work)",
         pool.threads(),

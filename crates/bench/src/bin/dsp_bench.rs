@@ -9,8 +9,9 @@
 //! agreement assertion still enforced, and nothing written — the
 //! committed `results/BENCH_dsp.json` only ever holds a full run.
 //!
-//! Four sections, each timing the fast kernel against the path it
-//! replaced (all numbers measured on this machine, nothing extrapolated):
+//! Three sections, each timing the fast kernel against the path it
+//! replaced (all numbers measured on the host that runs it, nothing
+//! extrapolated):
 //!
 //! * **rfft** — planned real-input FFT (`RealFft::forward_into`) vs. the
 //!   full complex transform (`fft_real_into`) at the paper's 2048-point
@@ -18,26 +19,21 @@
 //! * **sliding_stft** — streaming [`SlidingStft`] over one minute of
 //!   50 Hz samples in bounded chunks vs. re-running the batch analyser,
 //!   per completed frame;
-//! * **goertzel** — single-pass [`goertzel_band_power`] over the ship
-//!   band vs. a full FFT plus bin summation, with the relative
-//!   band-ratio agreement between the two;
-//! * **classify** — end-to-end `SpectralClassifier::classify_window` on
-//!   the default rfft + Parseval-wavelet fast front-end vs. the legacy
-//!   full-complex + time-domain-convolution path, asserting on the side
-//!   that both reach the same verdict on the probe window.
+//! * **classify** — end-to-end `SpectralClassifier::classify_window`
+//!   (rfft + Parseval wavelet) vs. `classify_window_reference` (full
+//!   complex FFT + time-domain convolution), asserting on the side that
+//!   both reach the same verdict on the probe window.
 //!
 //! The classify section is the one that moves engine throughput: the
-//! legacy wavelet convolution dominated the old streaming hot path.
+//! reference wavelet convolution dominated the old streaming hot path.
 
 use std::time::Instant;
 
 use serde::Serialize;
 
 use sid_bench::common::write_json;
-use sid_core::{ClassifierConfig, FrontEnd, SpectralClassifier};
-use sid_dsp::{
-    fft_real_into, goertzel_band_power, rfft_plan, Complex, SlidingStft, Stft, StftConfig,
-};
+use sid_core::{ClassifierConfig, SpectralClassifier};
+use sid_dsp::{fft_real_into, rfft_plan, Complex, SlidingStft, Stft, StftConfig};
 
 #[derive(Debug, Serialize)]
 struct KernelPair {
@@ -58,21 +54,10 @@ struct SlidingReport {
 }
 
 #[derive(Debug, Serialize)]
-struct GoertzelReport {
-    n: usize,
-    band_lo_hz: f64,
-    band_hi_hz: f64,
-    fft_band_ns: f64,
-    goertzel_ns: f64,
-    band_rel_diff: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct DspReport {
     quick: bool,
     rfft: KernelPair,
     sliding_stft: SlidingReport,
-    goertzel: GoertzelReport,
     classify: KernelPair,
 }
 
@@ -158,72 +143,30 @@ fn bench_sliding(iters: usize) -> SlidingReport {
     }
 }
 
-fn bench_goertzel(iters: usize) -> GoertzelReport {
-    let n = 2048usize;
-    let (lo, hi, fs) = (0.2f64, 0.8f64, 50.0f64);
-    let signal = test_signal(n);
-    let mut spectrum: Vec<Complex> = Vec::new();
-    let bin_hz = fs / n as f64;
-    let band_from_fft = |spectrum: &[Complex]| -> f64 {
-        spectrum
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| {
-                let f = *k as f64 * bin_hz;
-                f >= lo && f < hi
-            })
-            .map(|(_, z)| z.norm_sqr())
-            .sum()
-    };
-    let fft_band_ns = time_ns(iters, || {
-        fft_real_into(&signal, &mut spectrum).expect("power of two");
-        std::hint::black_box(band_from_fft(&spectrum));
-    });
-    let goertzel_ns = time_ns(iters, || {
-        std::hint::black_box(goertzel_band_power(&signal, lo, hi, fs).expect("valid band"));
-    });
-    fft_real_into(&signal, &mut spectrum).expect("power of two");
-    let via_fft = band_from_fft(&spectrum);
-    let via_goertzel = goertzel_band_power(&signal, lo, hi, fs).expect("valid band");
-    GoertzelReport {
-        n,
-        band_lo_hz: lo,
-        band_hi_hz: hi,
-        fft_band_ns,
-        goertzel_ns,
-        band_rel_diff: (via_fft - via_goertzel).abs() / via_fft.max(1e-12),
-    }
-}
-
 fn bench_classify(iters: usize) -> KernelPair {
     let config = ClassifierConfig::paper_default();
     let window = test_signal(config.stft.frame_len);
-    let build = |front_end: FrontEnd| {
-        let mut cfg = config;
-        cfg.front_end = front_end;
-        SpectralClassifier::new(cfg).expect("paper classifier")
-    };
-    let fast = build(FrontEnd::Fast);
-    let legacy = build(FrontEnd::Legacy);
-    let fast_verdict = fast.classify_window(&window).expect("frame-sized window");
-    let legacy_verdict = legacy.classify_window(&window).expect("frame-sized window");
+    let clf = SpectralClassifier::new(config).expect("paper classifier");
+    let fast_verdict = clf.classify_window(&window).expect("frame-sized window");
+    let reference_verdict = clf
+        .classify_window_reference(&window)
+        .expect("frame-sized window");
     assert_eq!(
-        fast_verdict.class, legacy_verdict.class,
-        "front-ends disagree on the probe window"
+        fast_verdict.class, reference_verdict.class,
+        "classify_window and classify_window_reference disagree on the probe window"
     );
     let fast_ns = time_ns(iters, || {
         std::hint::black_box(
-            fast.classify_window(&window)
+            clf.classify_window(&window)
                 .expect("frame-sized window")
                 .class,
         );
     });
-    // The legacy wavelet convolution is ~three orders slower; keep its
-    // sample count small so the benchmark stays interactive.
-    let legacy_ns = time_ns((iters / 16).max(3), || {
+    // The reference wavelet convolution is ~three orders slower; keep
+    // its sample count small so the benchmark stays interactive.
+    let reference_ns = time_ns((iters / 16).max(3), || {
         std::hint::black_box(
-            legacy
-                .classify_window(&window)
+            clf.classify_window_reference(&window)
                 .expect("frame-sized window")
                 .class,
         );
@@ -231,8 +174,8 @@ fn bench_classify(iters: usize) -> KernelPair {
     KernelPair {
         n: config.stft.frame_len,
         fast_ns,
-        reference_ns: legacy_ns,
-        speedup: legacy_ns / fast_ns.max(1e-9),
+        reference_ns,
+        speedup: reference_ns / fast_ns.max(1e-9),
     }
 }
 
@@ -261,23 +204,9 @@ fn main() {
         sliding_stft.frames
     );
 
-    let goertzel = bench_goertzel(iters * 10);
-    println!(
-        "goertzel band [{}, {}) Hz: {:.0} ns vs fft+sum {:.0} ns (band rel diff {:.2e})",
-        goertzel.band_lo_hz,
-        goertzel.band_hi_hz,
-        goertzel.goertzel_ns,
-        goertzel.fft_band_ns,
-        goertzel.band_rel_diff
-    );
-    assert!(
-        goertzel.band_rel_diff < 1e-6,
-        "Goertzel band power diverged from the FFT bin sum"
-    );
-
     let classify = bench_classify(iters);
     println!(
-        "classify_window {}: fast {:.0} ns vs legacy {:.0} ns — {:.0}x",
+        "classify_window {}: fast {:.0} ns vs reference {:.0} ns — {:.0}x",
         classify.n, classify.fast_ns, classify.reference_ns, classify.speedup
     );
 
@@ -285,7 +214,6 @@ fn main() {
         quick,
         rfft,
         sliding_stft,
-        goertzel,
         classify,
     };
     if quick {

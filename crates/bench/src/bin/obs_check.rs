@@ -1,6 +1,6 @@
-//! Smoke-checks an observed bench run (`just obs-smoke`): parses
-//! `results/OBS_summary.json` and the JSONL journal, and asserts the two
-//! agree and that the pipeline stages actually fired.
+//! Smoke-checks an observed bench run (`just obs-smoke`): parses the
+//! JSONL journal and the run summary written beside it, and asserts the
+//! two agree and that the pipeline stages actually fired.
 //!
 //! ```text
 //! SID_OBS=jsonl cargo run --release -p sid-bench --bin chaos_sweep -- --quick
@@ -8,13 +8,14 @@
 //! ```
 //!
 //! Reads the journal from `SID_OBS_PATH` (default
-//! `results/OBS_journal.jsonl`) and exits non-zero on any failed check,
-//! so CI can gate on it.
+//! `results/OBS_journal.jsonl`) and the summary of the same run from the
+//! path [`sid_obs::summary_path_for_journal`] derives from it (default
+//! `results/OBS_journal.summary.json`), and exits non-zero on any failed
+//! check, so CI can gate on it.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use sid_obs::{journal_path_from_env, Event, RunSummary, StageCounts};
+use sid_obs::{journal_path_from_env, summary_path_for_journal, Event, RunSummary, StageCounts};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("obs_check: FAIL: {msg}");
@@ -22,8 +23,9 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let summary_path = Path::new("results/OBS_summary.json");
-    let summary_text = match std::fs::read_to_string(summary_path) {
+    let journal_path = journal_path_from_env();
+    let summary_path = summary_path_for_journal(&journal_path);
+    let summary_text = match std::fs::read_to_string(&summary_path) {
         Ok(text) => text,
         Err(e) => return fail(&format!("cannot read {}: {e}", summary_path.display())),
     };
@@ -32,7 +34,6 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("{} does not parse: {e}", summary_path.display())),
     };
 
-    let journal_path = journal_path_from_env();
     let journal_text = match std::fs::read_to_string(&journal_path) {
         Ok(text) => text,
         Err(e) => return fail(&format!("cannot read {}: {e}", journal_path.display())),

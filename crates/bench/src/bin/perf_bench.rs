@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use sid_bench::common::{harbor_sea, northbound_scene, write_json};
+use sid_bench::common::{harbor_sea, northbound_scene, write_json, write_obs_summary};
 use sid_bench::node_level::fig11;
 use sid_bench::tables::table1;
 use sid_core::{IntrusionDetectionSystem, SystemConfig};
@@ -201,5 +201,5 @@ fn main() {
     }
     env_obs.flush();
     let summary = sid_obs::RunSummary::new("perf_bench", threads, observed.counts(), &env_obs);
-    write_json("OBS_summary", &summary);
+    write_obs_summary(&summary, true);
 }

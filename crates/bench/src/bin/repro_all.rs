@@ -16,7 +16,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sid_bench::common::{northbound_scene, quiet_scene, render_json, write_json, write_json_rendered};
+use sid_bench::common::{
+    northbound_scene, quiet_scene, render_json, write_json_rendered, write_obs_summary,
+};
 use sid_bench::node_level::{fig11, fig11_envelope};
 use sid_bench::spectra::{fig05, fig06, fig07, fig08};
 use sid_bench::speed_eval::fig12;
@@ -246,7 +248,7 @@ fn observability_pass(threads: usize) {
     }
     env_obs.flush();
     let summary = RunSummary::new("repro_all", threads, observed.counts(), &env_obs);
-    write_json("OBS_summary", &summary);
+    write_obs_summary(&summary, true);
     let c = observed.counts();
     println!(
         "\nobservability: {} events — {} reports, {} clusters formed, {} evaluated, {} sink-accepted, {} classifier verdicts",

@@ -86,6 +86,29 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Writes a run's observability summary beside the env-selected journal
+/// (see [`sid_obs::summary_path_for_journal`]), where `obs_check` pairs
+/// the two, and — when `commit` is set — to `results/OBS_summary.json`.
+/// Smoke runs pass `commit = false` so they leave the committed
+/// artifact alone.
+pub fn write_obs_summary(summary: &sid_obs::RunSummary, commit: bool) {
+    let Some(json) = render_json("OBS_summary", summary) else {
+        return;
+    };
+    let path = sid_obs::summary_path_for_journal(&sid_obs::journal_path_from_env());
+    if let Some(dir) = path.parent() {
+        // Best effort: a failure shows up as the write warning below.
+        let _ = fs::create_dir_all(dir);
+    }
+    match fs::write(&path, &json) {
+        Ok(()) => println!("[run summary written to {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+    if commit {
+        write_json_rendered("OBS_summary", &json);
+    }
+}
+
 /// Reads the committed baseline a `--check` gate is judged against: the
 /// number at the nested object-key path `keys` in the JSON file at
 /// `path`. Call it *before* measuring, so a failing run cannot judge

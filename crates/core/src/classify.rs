@@ -12,9 +12,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use sid_dsp::{
-    detrend_mean, goertzel_band_power, low_band_fraction, rfft_plan, spectral_features,
-    Complex, DspResult, Morlet, MorletConfig, PeakConfig, RealFft, SpectralFeatures, Stft,
-    StftConfig,
+    detrend_mean, low_band_fraction, rfft_plan, spectral_features, Complex, DspResult, Morlet,
+    MorletConfig, PeakConfig, RealFft, SpectralFeatures, SpectralFrame, Stft, StftConfig,
 };
 
 /// Classification verdict for one analysis window.
@@ -26,31 +25,9 @@ pub enum SignalClass {
     ShipPresent,
 }
 
-/// Which spectral front-end drives the classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FrontEnd {
-    /// Real-input FFT STFT plus frequency-domain (Parseval) wavelet band
-    /// energies and the Goertzel ship-band kernel — the default. Roughly
-    /// an order of magnitude cheaper per window than `Legacy`; verdict
-    /// discrete features agree exactly in practice and
-    /// `low_frequency_fraction` within a few hundredths (the DST
-    /// front-end oracle enforces both on fuzzed scenarios).
-    #[default]
-    Fast,
-    /// The pre-rfft route: full complex-FFT STFT and time-domain Morlet
-    /// convolution, bit-reproducing historical runs.
-    Legacy,
-}
-
 /// Classifier configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClassifierConfig {
-    /// Spectral front-end selection (defaults to [`FrontEnd::Fast`];
-    /// absent in serialized configs from before the fast path existed,
-    /// which deserialize to the default — see the manual [`Deserialize`]
-    /// impl below, which exists because the vendored serde shim has no
-    /// `#[serde(default)]`).
-    pub front_end: FrontEnd,
     /// STFT framing (the paper's 2048-point, 50 Hz default).
     pub stft: StftConfig,
     /// Peak extraction parameters.
@@ -81,7 +58,6 @@ impl ClassifierConfig {
     /// The paper's analysis parameters.
     pub fn paper_default() -> Self {
         ClassifierConfig {
-            front_end: FrontEnd::Fast,
             stft: StftConfig::paper_default(),
             peaks: PeakConfig::default(),
             min_ship_peaks: 2,
@@ -98,33 +74,6 @@ impl ClassifierConfig {
 impl Default for ClassifierConfig {
     fn default() -> Self {
         Self::paper_default()
-    }
-}
-
-impl Deserialize for ClassifierConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct ClassifierConfig"))?;
-        Ok(ClassifierConfig {
-            // Absent in pre-fast-path serializations: default, not error.
-            front_end: match serde::map_get(m, "front_end") {
-                Ok(fv) => Deserialize::from_value(fv)?,
-                Err(_) => FrontEnd::default(),
-            },
-            stft: Deserialize::from_value(serde::map_get(m, "stft")?)?,
-            peaks: Deserialize::from_value(serde::map_get(m, "peaks")?)?,
-            min_ship_peaks: Deserialize::from_value(serde::map_get(m, "min_ship_peaks")?)?,
-            max_ocean_concentration: Deserialize::from_value(serde::map_get(
-                m,
-                "max_ocean_concentration",
-            )?)?,
-            wavelet_lo_hz: Deserialize::from_value(serde::map_get(m, "wavelet_lo_hz")?)?,
-            wavelet_hi_hz: Deserialize::from_value(serde::map_get(m, "wavelet_hi_hz")?)?,
-            wavelet_scales: Deserialize::from_value(serde::map_get(m, "wavelet_scales")?)?,
-            smoothing_bins: Deserialize::from_value(serde::map_get(m, "smoothing_bins")?)?,
-            analysis_band_hz: Deserialize::from_value(serde::map_get(m, "analysis_band_hz")?)?,
-        })
     }
 }
 
@@ -210,6 +159,43 @@ impl SpectralClassifier {
     /// Returns [`sid_dsp::DspError::LengthMismatch`] if the window is
     /// shorter than one STFT frame.
     pub fn classify_window(&self, z_counts: &[f64]) -> DspResult<Classification> {
+        self.classify_with(z_counts, |centred| {
+            let mut scratch = Vec::new();
+            let frame = self.stft.analyze_frame_into(centred, 0, &mut scratch)?;
+            let low_frequency_fraction = self.fast_low_frequency_fraction(centred, &mut scratch)?;
+            Ok((frame, low_frequency_fraction))
+        })
+    }
+
+    /// The reference route for [`Self::classify_window`]: the full
+    /// complex-FFT STFT ([`Stft::analyze_frame_legacy_into`]) and the
+    /// time-domain Morlet convolution ([`Morlet::scalogram`]). Several
+    /// hundred times slower; it exists so tests, the DST front-end oracle
+    /// and `dsp_bench` can diff the fast path against it. Discrete
+    /// features agree exactly in practice and `low_frequency_fraction`
+    /// within 0.05.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::classify_window`].
+    pub fn classify_window_reference(&self, z_counts: &[f64]) -> DspResult<Classification> {
+        self.classify_with(z_counts, |centred| {
+            let frame = self
+                .stft
+                .analyze_frame_legacy_into(centred, 0, &mut Vec::new())?;
+            let scalogram = self.morlet.scalogram(centred, &self.wavelet_freqs)?;
+            Ok((frame, scalogram.low_frequency_fraction(1.0)))
+        })
+    }
+
+    /// Shared body of both routes: length check, mean removal, then peak
+    /// features and the verdict from whatever frame and wavelet fraction
+    /// `front_end` computes on the centred window.
+    fn classify_with(
+        &self,
+        z_counts: &[f64],
+        front_end: impl FnOnce(&[f64]) -> DspResult<(SpectralFrame, f64)>,
+    ) -> DspResult<Classification> {
         let frame_len = self.config.stft.frame_len;
         if z_counts.len() < frame_len {
             return Err(sid_dsp::DspError::LengthMismatch {
@@ -217,28 +203,11 @@ impl SpectralClassifier {
                 actual: z_counts.len(),
             });
         }
-        let centred = detrend_mean(z_counts);
-        let mut scratch = Vec::new();
-        let frame = match self.config.front_end {
-            FrontEnd::Fast => self.stft.analyze_frame_into(&centred, 0, &mut scratch)?,
-            FrontEnd::Legacy => {
-                self.stft
-                    .analyze_frame_legacy_into(&centred, 0, &mut scratch)?
-            }
-        };
+        let (frame, low_frequency_fraction) = front_end(&detrend_mean(z_counts))?;
         let band_bins = ((self.config.analysis_band_hz / frame.bin_hz).ceil() as usize)
             .clamp(1, frame.power.len());
         let smoothed = smooth(&frame.power[..band_bins], self.config.smoothing_bins);
         let features = spectral_features(&smoothed, frame.bin_hz, &self.config.peaks);
-
-        let low_frequency_fraction = match self.config.front_end {
-            FrontEnd::Fast => self.fast_low_frequency_fraction(&centred, &mut scratch)?,
-            FrontEnd::Legacy => {
-                let scalogram = self.morlet.scalogram(&centred, &self.wavelet_freqs)?;
-                scalogram.low_frequency_fraction(1.0)
-            }
-        };
-
         let ship_like = features.peak_count >= self.config.min_ship_peaks
             || features.peak_concentration < self.config.max_ocean_concentration;
         Ok(Classification {
@@ -344,37 +313,24 @@ impl SpectralClassifier {
         test: &[f64],
     ) -> DspResult<PairClassification> {
         let band = (0.2, 0.8);
-        // On the fast front-end a single multi-bin Goertzel pass replaces
-        // the windowed STFT: the band-rise *ratio* is insensitive to the
-        // missing window/normalisation (both windows share them), and the
-        // band excludes DC so detrending is a no-op and is skipped.
         let band_power = |sig: &[f64]| -> DspResult<f64> {
-            let frame_len = self.config.stft.frame_len;
-            if sig.len() < frame_len {
-                return Err(sid_dsp::DspError::LengthMismatch {
-                    expected: frame_len,
-                    actual: sig.len(),
-                });
-            }
-            match self.config.front_end {
-                FrontEnd::Fast => goertzel_band_power(
-                    &sig[..frame_len],
-                    band.0,
-                    band.1,
-                    self.config.stft.sample_rate,
-                ),
-                FrontEnd::Legacy => {
-                    let centred = detrend_mean(sig);
-                    let frame = self
-                        .stft
-                        .analyze_frame_legacy_into(&centred, 0, &mut Vec::new())?;
-                    Ok(frame.band_power(band.0, band.1))
-                }
-            }
+            let frame = self
+                .stft
+                .analyze_frame_into(&detrend_mean(sig), 0, &mut Vec::new())?;
+            Ok(frame.band_power(band.0, band.1))
         };
         let p_ref = band_power(reference)?;
         let p_test = band_power(test)?;
-        let band_rise = if p_ref > 0.0 { p_test / p_ref } else { f64::INFINITY };
+        // Two silent windows (e.g. a stuck accelerometer, which detrends
+        // to exact zeros) show no rise; only a zero reference under a
+        // live test window is an unbounded one.
+        let band_rise = if p_ref > 0.0 {
+            p_test / p_ref
+        } else if p_test > 0.0 {
+            f64::INFINITY
+        } else {
+            1.0
+        };
         Ok(PairClassification {
             class: if band_rise > 3.0 {
                 SignalClass::ShipPresent
@@ -549,16 +505,31 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_legacy_front_ends_agree() {
-        let fast = SpectralClassifier::new(test_config()).unwrap();
-        let legacy = SpectralClassifier::new(ClassifierConfig {
-            front_end: FrontEnd::Legacy,
-            ..test_config()
-        })
-        .unwrap();
+    fn silent_window_pairs_show_no_band_rise() {
+        let clf = SpectralClassifier::new(test_config()).unwrap();
+        // All-zero and stuck-at-1024 windows detrend to exact zeros: no
+        // band power on either side is no rise, not an infinite one.
+        let zeros = vec![0.0; 1024];
+        let stuck = vec![1024.0; 1024];
+        for (reference, test) in [(&zeros, &zeros), (&stuck, &stuck), (&zeros, &stuck)] {
+            let pair = clf.classify_against_reference(reference, test).unwrap();
+            assert_eq!(pair.class, SignalClass::OceanOnly);
+            assert_eq!(pair.band_rise, 1.0);
+        }
+        // A silent reference under a live test window stays unbounded.
+        let live = clf
+            .classify_against_reference(&stuck, &swell_plus_ship(1024))
+            .unwrap();
+        assert_eq!(live.class, SignalClass::ShipPresent);
+        assert_eq!(live.band_rise, f64::INFINITY);
+    }
+
+    #[test]
+    fn fast_and_reference_routes_agree() {
+        let clf = SpectralClassifier::new(test_config()).unwrap();
         for sig in [swell(1024), swell_plus_ship(1024)] {
-            let a = fast.classify_window(&sig).unwrap();
-            let b = legacy.classify_window(&sig).unwrap();
+            let a = clf.classify_window(&sig).unwrap();
+            let b = clf.classify_window_reference(&sig).unwrap();
             // Discrete features: identical. The 1e-14-relative STFT drift
             // cannot move a peak count or concentration materially.
             assert_eq!(a.class, b.class);
@@ -567,64 +538,27 @@ mod tests {
             // Wavelet fraction: documented tolerance of the Parseval path.
             assert!(
                 (a.low_frequency_fraction - b.low_frequency_fraction).abs() < 0.05,
-                "lff fast {} vs legacy {}",
+                "lff fast {} vs reference {}",
                 a.low_frequency_fraction,
                 b.low_frequency_fraction
             );
         }
+        assert!(clf.classify_window_reference(&swell(512)).is_err());
     }
 
     #[test]
-    fn fast_and_legacy_reference_classifiers_agree() {
-        let fast = SpectralClassifier::new(test_config()).unwrap();
-        let legacy = SpectralClassifier::new(ClassifierConfig {
-            front_end: FrontEnd::Legacy,
-            ..test_config()
-        })
-        .unwrap();
-        let quiet = swell(1024);
-        let ship = swell_plus_ship(1024);
-        // Same-window reference: both estimators sit at rise ≈ 1 (any
-        // window weighting cancels exactly on identical inputs).
-        for clf in [&fast, &legacy] {
-            let qq = clf.classify_against_reference(&quiet, &quiet).unwrap();
-            assert_eq!(qq.class, SignalClass::OceanOnly);
-            assert!((qq.band_rise - 1.0).abs() < 0.2, "rise {}", qq.band_rise);
+    fn configs_serialized_with_a_front_end_key_still_load() {
+        let plain = serde_json::to_string(&ClassifierConfig::paper_default()).unwrap();
+        let expected: ClassifierConfig = serde_json::from_str(&plain).unwrap();
+        assert_eq!(expected, ClassifierConfig::paper_default());
+        // Configs written while the classifier had a front-end switch
+        // carry a `front_end` key; it is ignored.
+        for value in ["Legacy", "Fast"] {
+            let old = plain.replacen('{', &format!("{{\"front_end\":\"{value}\","), 1);
+            assert!(old.contains("front_end"), "{old}");
+            let loaded: ClassifierConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(loaded, expected, "front_end = {value}");
         }
-        // Ship window: both verdicts flip. The rise *magnitudes* differ by
-        // design (Hann centre-weighting vs Goertzel's uniform weighting on
-        // a centred burst), so only the decision is compared.
-        let a = fast.classify_against_reference(&quiet, &ship).unwrap();
-        let b = legacy.classify_against_reference(&quiet, &ship).unwrap();
-        assert_eq!(a.class, SignalClass::ShipPresent);
-        assert_eq!(a.class, b.class);
-        assert!(a.band_rise > 3.0 && b.band_rise > 3.0);
-    }
-
-    #[test]
-    fn front_end_defaults_to_fast_in_serde_and_code() {
-        assert_eq!(FrontEnd::default(), FrontEnd::Fast);
-        assert_eq!(ClassifierConfig::paper_default().front_end, FrontEnd::Fast);
-        // Configs serialized before the field existed keep deserializing.
-        let serde::Value::Map(mut entries) =
-            serde::Serialize::to_value(&ClassifierConfig::paper_default())
-        else {
-            panic!("config serializes to a map");
-        };
-        entries.retain(|(k, _)| k != "front_end");
-        let cfg = <ClassifierConfig as serde::Deserialize>::from_value(&serde::Value::Map(
-            entries,
-        ))
-        .unwrap();
-        assert_eq!(cfg.front_end, FrontEnd::Fast);
-        // Round-trip through JSON preserves an explicit Legacy selection.
-        let legacy = ClassifierConfig {
-            front_end: FrontEnd::Legacy,
-            ..ClassifierConfig::paper_default()
-        };
-        let json = serde_json::to_string(&legacy).unwrap();
-        let back: ClassifierConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.front_end, FrontEnd::Legacy);
     }
 
     #[test]

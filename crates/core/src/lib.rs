@@ -45,7 +45,7 @@
 //! | Subsystem | What it adds | Module / crate |
 //! |---|---|---|
 //! | event-driven scheduler | skips idle ticks, lazily charges sleepers; journal-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] on `sid-net`'s `EventScheduler` |
-//! | spectral front-end | real-input FFT, sliding STFT and Goertzel band power behind the eq. 7–8 / Fig. 6–7 classifiers (DESIGN.md §14) | `sid-dsp`, [`classify::SpectralClassifier`] |
+//! | spectral front-end | real-input FFT, sliding STFT and Parseval-wavelet band energies behind the eq. 7–8 / Fig. 6–7 classifiers; the full complex-FFT + time-domain-wavelet route stays as [`SpectralClassifier::classify_window_reference`] (DESIGN.md §14) | `sid-dsp`, [`classify::SpectralClassifier`] |
 //! | streaming engine | push-based ingest of the eq. 4–8 detector with bounded rings and serde snapshot/restore (DESIGN.md §12) | `sid-stream` |
 //! | alerting edge | severity grading, token-bucket rate limiting and storm coalescing downstream of sink confirmation (DESIGN.md §13) | `sid-alert`, wired via `SystemConfig::alert` |
 //! | fleet index | spatial-hash neighbor tables, byte-identical to the brute-force scan (DESIGN.md §16) | `sid-net` (`Topology`, `NeighborIndex`) |
@@ -92,7 +92,7 @@ pub mod sink;
 pub mod speed;
 pub mod threshold;
 
-pub use classify::{Classification, ClassifierConfig, FrontEnd, SignalClass, SpectralClassifier};
+pub use classify::{Classification, ClassifierConfig, SignalClass, SpectralClassifier};
 pub use cluster_detect::{
     estimate_speed_from_reports, ClusterEvaluation, ClusterHead, ClusterHeadConfig, PlacedReport,
 };

@@ -56,8 +56,8 @@ mod complex;
 mod error;
 pub mod fft;
 pub mod filter;
-pub mod goertzel;
 pub mod hilbert;
+pub mod period;
 pub mod resample;
 pub mod rfft;
 pub mod spectrum;
@@ -69,11 +69,11 @@ pub mod window;
 pub use complex::Complex;
 pub use error::{DspError, DspResult};
 pub use fft::{bin_frequency, fft_plan, fft_real, fft_real_into, Fft};
-pub use goertzel::{autocorrelation, dominant_period, goertzel_band_power, goertzel_power};
 pub use hilbert::{hilbert_envelope, hilbert_envelope_into};
 pub use filter::{
     butterworth_lowpass, butterworth_lowpass_order4, Biquad, BiquadCascade, LowPassFir,
 };
+pub use period::{autocorrelation, dominant_period};
 pub use resample::{decimate, detrend_mean, rectify, remove_bias, sample_at};
 pub use rfft::{rfft_plan, RealFft};
 pub use spectrum::{find_peaks, spectral_features, Peak, PeakConfig, SpectralFeatures};

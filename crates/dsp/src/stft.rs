@@ -228,9 +228,9 @@ impl Stft {
     /// complex buffer and runs the N-point transform, exactly as
     /// `analyze_frame_into` did before the real-input fast path landed.
     ///
-    /// Kept so the bit-level behaviour of historical runs stays
-    /// reproducible and so the DST front-end oracle has a reference to
-    /// diff the fast path against.
+    /// Kept as the reference the fast path is diffed against: it backs
+    /// `sid_core::SpectralClassifier::classify_window_reference`, which
+    /// tests, the DST front-end oracle and `dsp_bench` call.
     ///
     /// # Errors
     ///

@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 
 use sid_dsp::{
-    butterworth_lowpass, butterworth_lowpass_order4, fft_real, goertzel_band_power, rfft_plan,
-    spectral_features, Complex, EwmaStats, Fft, LowPassFir, PeakConfig, RunningStats, SlidingStft,
-    Stft, StftConfig, Window,
+    butterworth_lowpass, butterworth_lowpass_order4, fft_real, rfft_plan, spectral_features,
+    Complex, EwmaStats, Fft, LowPassFir, PeakConfig, RunningStats, SlidingStft, Stft, StftConfig,
+    Window,
 };
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -89,37 +89,6 @@ proptest! {
             sliding.push(piece, |_, _, frame| streamed.push(frame)).unwrap();
         }
         prop_assert_eq!(streamed, batch);
-    }
-
-    #[test]
-    fn goertzel_band_matches_fft_bin_sum(
-        xs in prop::collection::vec(-1e2..1e2f64, 16..256),
-        band in (0.0..20.0f64, 0.1..5.0f64),
-    ) {
-        // Same band convention as `SpectralFrame::band_power`: bins with
-        // lo <= k*fs/n < hi, one-sided, un-doubled.
-        let n = xs.len().next_power_of_two();
-        let mut padded = xs.clone();
-        padded.resize(n, 0.0);
-        let fs = 50.0;
-        let (lo, hi) = (band.0, (band.0 + band.1).min(fs / 2.0));
-        prop_assume!(lo < hi);
-        let spectrum = fft_real(&padded).unwrap();
-        let bin_hz = fs / n as f64;
-        let reference: f64 = spectrum
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| {
-                let f = *k as f64 * bin_hz;
-                f >= lo && f < hi
-            })
-            .map(|(_, z)| z.norm_sqr())
-            .sum();
-        let fast = goertzel_band_power(&padded, lo, hi, fs).unwrap();
-        prop_assert!(
-            (fast - reference).abs() <= 1e-6 * reference.max(1.0),
-            "band [{lo}, {hi}) Hz: goertzel {fast} vs fft {reference}"
-        );
     }
 
     #[test]

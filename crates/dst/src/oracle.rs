@@ -25,7 +25,7 @@
 //! | `thread_journal_equivalence` | the journal is byte-identical at 1/2/4/8 worker threads |
 //! | `stream_journal_equivalence` | the `sid-stream` driver reproduces the offline journal byte-for-byte at 1/2/4/8 threads and varied chunk sizes |
 //! | `alert_suppression_correct` | an independent alert-edge replay reproduces every emit/suppress/coalesce/reload decision; no suppressed alert is lost without a matching summary record; token-bucket accounting is exact |
-//! | `frontend_equivalence` | the default rfft/Goertzel/Parseval fast spectral front-end and the legacy full-complex path agree on a seed-derived stream: alarms bit-identical, window verdicts equal, wavelet observable within 0.05 |
+//! | `frontend_equivalence` | every window a paper-default `StreamEngine` classifies on its rfft/Parseval fast path gets the same verdict from `classify_window_reference` (full complex FFT, time-domain wavelet) on the rebuilt raw frame, with the wavelet observable within 0.05 |
 //! | `scheduler_equivalence` | the event-driven scheduler (`run_events`) reproduces the fixed-tick sweep's journal, stage counts, trace and final clock byte-for-byte |
 //! | `shard_equivalence` | partitioning the deployment into K ∈ {2, 4} spatial shards reproduces the unsharded journal byte-for-byte at 1/2/4/8 worker threads, including across a mid-episode `sid-serve` checkpoint/migrate/resume that changes both the pool width and the shard count |
 
@@ -797,39 +797,36 @@ fn shard_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
     }
 }
 
-/// The spectral front-end contract. Two [`sid_stream::StreamEngine`]s —
-/// one on the default rfft + Goertzel + Parseval-wavelet fast path, one
-/// on the legacy full-complex spectral path — consume an identical
-/// seed-derived stream (a calm-harbor baseline with ship-like bursts)
-/// and must agree on every discrete decision:
+/// The spectral front-end contract. A paper-default
+/// [`sid_stream::StreamEngine`] consumes a seed-derived stream (a
+/// calm-harbor baseline with ship-like bursts). Every window it
+/// classifies is rebuilt from the same sample function — raw samples
+/// `[end_sample − frame_len, end_sample)` — and reclassified with
+/// [`sid_core::SpectralClassifier::classify_window_reference`]:
 ///
-/// * alarms are bit-identical (the detector path never touches the
-///   spectral front-end, so any difference is a wiring bug);
-/// * window outputs pair up with equal node, end sample, peak frequency
-///   and class verdict (the fast path's ≲1e-14 relative spectral error
-///   cannot move a discrete verdict on a non-degenerate stream);
+/// * the class verdicts are equal (the fast path's ≲1e-14 relative
+///   spectral error cannot move a discrete verdict on a non-degenerate
+///   stream);
 /// * the continuous wavelet observable (`low_frequency_fraction`)
 ///   stays within the documented 0.05 tolerance between the Parseval
 ///   fast path and the truncated time-domain convolution.
 fn frontend_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sid_core::FrontEnd;
+    use sid_core::SpectralClassifier;
     use sid_stream::{StreamConfig, StreamEngine, StreamOutput};
 
     const NODES: usize = 2;
-    let mut fast_config = StreamConfig::paper_default();
-    fast_config.classifier.stft.frame_len = 256;
-    fast_config.classifier.stft.hop = 128;
-    fast_config.ring_capacity = 512;
-    let mut legacy_config = fast_config;
-    fast_config.classifier.front_end = FrontEnd::Fast;
-    legacy_config.classifier.front_end = FrontEnd::Legacy;
+    let mut config = StreamConfig::paper_default();
+    config.classifier.stft.frame_len = 256;
+    config.classifier.stft.hop = 128;
+    config.ring_capacity = 512;
+    let frame_len = config.classifier.stft.frame_len;
 
     // Seed-derived burst parameters: onset, amplitude and carrier vary
     // per scenario so the sweep covers alarm-heavy and quiet streams.
     let mut rng = StdRng::seed_from_u64(report.scenario.seed ^ 0x0F40_07E4);
-    let fs = fast_config.detector.sample_rate;
+    let fs = config.detector.sample_rate;
     let total = (fs * 90.0) as usize;
     let bursts: Vec<(f64, f64, f64)> = (0..NODES)
         .map(|_| {
@@ -851,108 +848,66 @@ fn frontend_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
     };
 
     let pool = sid_exec::Pool::new(1);
-    let run = |config: StreamConfig| -> Vec<StreamOutput> {
-        let mut engine = StreamEngine::new(config, NODES).expect("frontend config valid");
-        let mut outputs = Vec::new();
-        let mut start = 0usize;
-        while start < total {
-            let end = (start + 256).min(total);
-            for node in 0..NODES {
-                let chunk: Vec<f64> = (start..end).map(|i| sample(node, i)).collect();
-                let accepted = engine.push_chunk(node, &chunk);
-                debug_assert_eq!(accepted, chunk.len(), "ring sized for the chunk cadence");
-            }
-            outputs.extend(engine.pump(&pool));
-            start = end;
+    let mut engine = StreamEngine::new(config, NODES).expect("frontend config valid");
+    let mut outputs = Vec::new();
+    let mut start = 0usize;
+    while start < total {
+        let end = (start + 256).min(total);
+        for node in 0..NODES {
+            let chunk: Vec<f64> = (start..end).map(|i| sample(node, i)).collect();
+            let accepted = engine.push_chunk(node, &chunk);
+            debug_assert_eq!(accepted, chunk.len(), "ring sized for the chunk cadence");
         }
-        outputs
-    };
-    let fast = run(fast_config);
-    let legacy = run(legacy_config);
-
-    if fast.len() != legacy.len() {
-        fail(
-            out,
-            "frontend_equivalence",
-            format!(
-                "fast front-end produced {} outputs, legacy {}",
-                fast.len(),
-                legacy.len()
-            ),
-        );
-        return;
+        outputs.extend(engine.pump(&pool));
+        start = end;
     }
-    if !fast
-        .iter()
-        .any(|o| matches!(o, StreamOutput::Window { .. }))
-    {
+
+    let reference = SpectralClassifier::new(config.classifier).expect("frontend config valid");
+    let mut windows = 0usize;
+    for (i, output) in outputs.iter().enumerate() {
+        let StreamOutput::Window {
+            node,
+            end_sample,
+            classification: fast,
+            ..
+        } = output
+        else {
+            continue;
+        };
+        windows += 1;
+        let end = *end_sample as usize;
+        let raw: Vec<f64> = (end - frame_len..end).map(|k| sample(*node, k)).collect();
+        let slow = reference
+            .classify_window_reference(&raw)
+            .expect("rebuilt window is one frame long");
+        if fast.class != slow.class {
+            fail(
+                out,
+                "frontend_equivalence",
+                format!("window {i} verdict diverged: {fast:?} vs reference {slow:?}"),
+            );
+            return;
+        }
+        let drift = (fast.low_frequency_fraction - slow.low_frequency_fraction).abs();
+        if !drift.is_finite() || drift > 0.05 {
+            fail(
+                out,
+                "frontend_equivalence",
+                format!(
+                    "window {i} wavelet observable drifted {drift:.4} \
+                     (fast {:.4} vs reference {:.4})",
+                    fast.low_frequency_fraction, slow.low_frequency_fraction
+                ),
+            );
+            return;
+        }
+    }
+    if windows == 0 {
         fail(
             out,
             "frontend_equivalence",
             "comparison stream completed no windows — the check is vacuous".to_string(),
         );
-        return;
-    }
-    for (i, (f, l)) in fast.iter().zip(&legacy).enumerate() {
-        match (f, l) {
-            (
-                StreamOutput::Alarm { node: fa, report: fr },
-                StreamOutput::Alarm { node: la, report: lr },
-            ) => {
-                if fa != la || fr != lr {
-                    fail(
-                        out,
-                        "frontend_equivalence",
-                        format!("alarm {i} diverged between front-ends: {f:?} vs {l:?}"),
-                    );
-                    return;
-                }
-            }
-            (
-                StreamOutput::Window {
-                    node: fa,
-                    end_sample: fe,
-                    peak_hz: fp,
-                    classification: fc,
-                },
-                StreamOutput::Window {
-                    node: la,
-                    end_sample: le,
-                    peak_hz: lp,
-                    classification: lc,
-                },
-            ) => {
-                if fa != la || fe != le || fp != lp || fc.class != lc.class {
-                    fail(
-                        out,
-                        "frontend_equivalence",
-                        format!("window {i} verdict diverged: {f:?} vs {l:?}"),
-                    );
-                    return;
-                }
-                let drift = (fc.low_frequency_fraction - lc.low_frequency_fraction).abs();
-                if !drift.is_finite() || drift > 0.05 {
-                    fail(
-                        out,
-                        "frontend_equivalence",
-                        format!(
-                            "window {i} wavelet observable drifted {drift:.4} \
-                             (fast {:.4} vs legacy {:.4})",
-                            fc.low_frequency_fraction, lc.low_frequency_fraction
-                        ),
-                    );
-                    return;
-                }
-            }
-            _ => {
-                fail(
-                    out,
-                    "frontend_equivalence",
-                    format!("output {i} kind diverged: {f:?} vs {l:?}"),
-                );
-                return;
-            }
-        }
     }
 }
 

@@ -129,11 +129,12 @@ pub struct Scenario {
     /// reload atomicity; checked by the `alert_suppression_correct`
     /// oracle. Set on a deterministic subset of seeds.
     pub alert_storm: bool,
-    /// Rerun a seed-derived synthetic stream through two `StreamEngine`s
-    /// — the default rfft/Goertzel/Parseval fast front-end vs. the
-    /// legacy full-complex spectral path — and require every discrete
-    /// decision to agree (`frontend_equivalence` oracle). Set on a
-    /// deterministic subset of seeds.
+    /// Run a seed-derived synthetic stream through a paper-default
+    /// `StreamEngine` and reclassify every window it completes with
+    /// `SpectralClassifier::classify_window_reference` (full complex FFT
+    /// plus time-domain wavelet); the verdicts must agree
+    /// (`frontend_equivalence` oracle). Set on a deterministic subset of
+    /// seeds.
     pub check_frontend: bool,
     /// Rerun through the event-driven scheduler (`run_events`) and
     /// require a byte-identical journal, stage counts, trace and final
@@ -278,8 +279,8 @@ impl Scenario {
             // *after* every RNG draw so the campaign overrides below
             // never perturb how other scenarios generate.
             alert_storm: seed.is_multiple_of(8),
-            // Every 32nd seed: the fast-vs-legacy spectral front-end
-            // comparison (two extra streaming engine runs). Arithmetic
+            // Every 32nd seed: the fast-vs-reference spectral front-end
+            // comparison (one extra streaming engine run). Arithmetic
             // like its siblings, so no existing scenario changed.
             check_frontend: seed.is_multiple_of(32),
             // Every fourth seed (offset from `check_stream` so the two

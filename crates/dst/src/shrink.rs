@@ -108,8 +108,8 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         push(c);
     }
 
-    // And for the fast-vs-legacy spectral front-end comparison (two
-    // extra streaming engine runs per execution).
+    // And for the fast-vs-reference spectral front-end comparison (one
+    // extra streaming engine run plus a reference pass per window).
     if s.check_frontend {
         let mut c = s.clone();
         c.check_frontend = false;

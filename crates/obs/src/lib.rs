@@ -291,6 +291,14 @@ pub fn journal_path_from_env() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from(DEFAULT_JOURNAL_PATH))
 }
 
+/// Where a run puts the [`RunSummary`] of the journal at `journal`: the
+/// same path with the extension `summary.json`
+/// (`results/OBS_journal.jsonl` → `results/OBS_journal.summary.json`),
+/// so a journal and the summary of the same run always sit side by side.
+pub fn summary_path_for_journal(journal: &Path) -> PathBuf {
+    journal.with_extension("summary.json")
+}
+
 /// A span-style wall timer: created by [`Obs::span`], records the elapsed
 /// time into its stage when dropped.
 #[derive(Debug)]

@@ -32,7 +32,8 @@ chaos-smoke:
 
 # Observability smoke (see DESIGN.md §10): a short observed chaos run
 # must produce a parseable JSONL journal whose stage counts are non-zero
-# and agree with results/OBS_summary.json.
+# and agree with the run summary written beside it
+# (results/OBS_journal.summary.json). Writes no committed artifact.
 obs-smoke:
     SID_OBS=jsonl cargo run --release -p sid-bench --bin chaos_sweep -- --quick
     cargo run --release -p sid-bench --bin obs_check
@@ -72,13 +73,13 @@ bench-stream:
     cargo run --release -p sid-bench --bin stream_bench
 
 # Spectral front-end micro-benchmark: rfft vs complex FFT, sliding vs
-# batch STFT, Goertzel vs FFT band power, fast vs legacy classification.
+# batch STFT, classify_window vs classify_window_reference.
 # Writes results/BENCH_dsp.json (see DESIGN.md §14).
 bench-dsp:
     cargo run --release -p sid-bench --bin dsp_bench
 
-# Quick spectral front-end smoke: the kernel agreement assertions
-# (Goertzel vs FFT band, fast vs legacy verdict) must hold. Part of
+# Quick spectral front-end smoke: classify_window and
+# classify_window_reference must agree on the probe window. Part of
 # tier1; the timing numbers it prints are incidental at this length,
 # and `--quick` writes nothing (results/BENCH_dsp.json is `bench-dsp`'s).
 dsp-smoke:
