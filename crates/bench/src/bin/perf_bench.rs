@@ -16,8 +16,12 @@
 //! * **figure jobs** — wall time of representative figure/table jobs at
 //!   the configured thread count.
 //!
-//! All numbers are measured on this machine at the reported thread count —
-//! nothing is extrapolated.
+//! All numbers are measured on this machine at the reported thread count,
+//! beside the host's core count — nothing is extrapolated.
+//!
+//! `--quick` is a smoke run on smaller inputs: it prints its numbers and
+//! writes nothing (the committed `results/BENCH_perf.json` and
+//! `results/OBS_summary.json` come from full runs).
 
 use std::time::Instant;
 
@@ -57,7 +61,8 @@ struct FigureJob {
 #[derive(Debug, Serialize)]
 struct PerfReport {
     threads: usize,
-    quick: bool,
+    /// `std::thread::available_parallelism` on the measuring host.
+    host_cores: usize,
     wave_synthesis: WaveSynthesis,
     pipeline: PipelineThroughput,
     figure_jobs: Vec<FigureJob>,
@@ -147,7 +152,11 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     let threads = sid_exec::global().threads();
-    println!("=== perf_bench: {threads} worker threads{} ===", if quick { " (quick)" } else { "" });
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "=== perf_bench: {threads} worker threads on {host_cores} cores{} ===",
+        if quick { " (quick)" } else { "" }
+    );
 
     let wave_synthesis = bench_wave_synthesis(quick);
     println!(
@@ -171,9 +180,14 @@ fn main() {
         println!("figure job {}: {:.2} s wall", job.name, job.wall_secs);
     }
 
+    if quick {
+        env_obs.flush();
+        println!("\n[quick run: results/BENCH_perf.json and results/OBS_summary.json left untouched]");
+        return;
+    }
     let report = PerfReport {
         threads,
-        quick,
+        host_cores,
         wave_synthesis,
         pipeline,
         figure_jobs,

@@ -162,6 +162,12 @@ impl SystemConfig {
     }
 }
 
+/// Ticks of Phase-A sensing [`IntrusionDetectionSystem::run`] batches
+/// into one pool dispatch (0.64 s at 50 Hz): each task senses one node
+/// for the whole window. A node that stops sampling mid-window wastes at
+/// most `PHASE_A_WINDOW_TICKS − 1` samples.
+const PHASE_A_WINDOW_TICKS: u64 = 32;
+
 /// The number of whole `dt`-length ticks in `duration` seconds —
 /// `duration / dt` rounded half-up with a relative epsilon of one part
 /// in 10⁹ absorbing float error in the division (see
@@ -483,9 +489,11 @@ impl IntrusionDetectionSystem {
 
     /// Partitions the deployment into `shards` contiguous spatial
     /// regions ([`ShardMap`], cell-column boundaries shared with the
-    /// spatial-hash neighbor index) that group Phase-A sensing: each
-    /// tick hands the worker pool one task per shard instead of one per
-    /// node. Nothing else is sharded — Phase B stays sequential in node
+    /// spatial-hash neighbor index) that group Phase-A sensing in
+    /// [`run_events`](Self::run_events): each tick hands the worker pool
+    /// one task per shard instead of one per node ([`run`](Self::run)
+    /// already batches per node over a whole window). Nothing else is
+    /// sharded — Phase B stays sequential in node
     /// order and radio deliveries stay on the network's single
     /// `(time, seq)` queue. Every journal byte is identical to the
     /// unsharded run, because sensing is pure and its results are placed
@@ -1212,8 +1220,9 @@ impl IntrusionDetectionSystem {
     /// `begin_tick` → evaluate the scene for every index in `sampling`
     /// (inline, pooled, or from pre-buffered chunks via
     /// [`sense_at`](Self::sense_at)) → [`finish_tick`](Self::finish_tick).
-    /// [`run`](Self::run) is exactly that loop, so any driver preserving
-    /// the per-tick call order produces a byte-identical journal and trace.
+    /// Any caller preserving the per-tick call order produces a
+    /// byte-identical journal and trace; [`run`](Self::run) is that loop
+    /// with Phase A batched over windows of ticks.
     pub fn begin_tick(&mut self, sampling: &mut Vec<usize>) -> f64 {
         let dt = self.tick_dt();
         self.now += dt;
@@ -1391,27 +1400,81 @@ impl IntrusionDetectionSystem {
     ///   accelerometer and detector in node order, consuming the shared RNG
     ///   exactly as the original single-loop implementation did.
     ///
-    /// The loop body is the [`begin_tick`](Self::begin_tick) /
-    /// [`finish_tick`](Self::finish_tick) seam; the streaming driver in
-    /// `sid-stream` replays the same seam from bounded ring buffers and is
-    /// journal-byte-identical to this offline loop.
+    /// Phase A is batched over windows of 32 ticks (0.64 s at 50 Hz):
+    /// after a window's first [`begin_tick`](Self::begin_tick), one
+    /// [`Pool::par_map`](sid_exec::Pool::par_map) senses that tick's
+    /// sampling set for every tick of the window (one task per node), at
+    /// tick times accumulated with the pipeline's own `now += dt`
+    /// additions. Later ticks of the window read those samples by node;
+    /// a node that joins the sampling set mid-window, or any tick whose
+    /// clock bits differ from the precomputed time, is sensed inline at
+    /// its own tick. Sensing is pure in time ([`sense_at`](Self::sense_at)),
+    /// so every tick sees exactly the samples the per-tick
+    /// [`begin_tick`](Self::begin_tick) → [`sense_at`](Self::sense_at) →
+    /// [`finish_tick`](Self::finish_tick) seam would give it — the loop
+    /// `sid-stream` replays from bounded ring buffers — and the journal is
+    /// byte-identical to that seam.
     pub fn run(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let mut sampling: Vec<usize> = Vec::with_capacity(self.nodes.len());
-        for _ in 0..steps {
+        let mut window_nodes: Vec<usize> = Vec::with_capacity(self.nodes.len());
+        let mut times: Vec<f64> = Vec::with_capacity(PHASE_A_WINDOW_TICKS as usize);
+        let mut envs: Vec<EnvSample> = Vec::with_capacity(self.nodes.len());
+        let mut done = 0;
+        while done < steps {
+            let len = (steps - done).min(PHASE_A_WINDOW_TICKS);
+            done += len;
             self.begin_tick(&mut sampling);
+            // Phase A, part 2, for the whole window: replicate the
+            // `now += dt` accumulation of the ticks to come, then sense
+            // this tick's sampling set at all of them. Pure (`&self`,
+            // no RNG), so the pool fans it out; results are placed by
+            // input index.
             let sense_span = if self.obs_enabled {
                 self.obs.span(Stage::PhaseASense)
             } else {
                 None
             };
-            // Phase A, part 2: evaluate the scene for every sampling node.
-            // Pure (`&self`, no RNG), so the pool may fan it out — per
-            // node, or per spatial shard when a shard map is installed;
-            // results are placed by input index either way.
-            let envs = self.sense_all(&sampling);
+            let dt = self.tick_dt();
+            let mut t = self.now;
+            times.clear();
+            times.push(t);
+            for _ in 1..len {
+                t += dt;
+                times.push(t);
+            }
+            let (nodes, scene, times) = (&self.nodes, &self.scene, &times);
+            let blocks: Vec<Vec<EnvSample>> = self.pool.par_map(&sampling, |&idx| {
+                times
+                    .iter()
+                    .map(|&t| nodes[idx].sense_environment(scene, t))
+                    .collect()
+            });
             drop(sense_span);
-            self.finish_tick(&sampling, &envs);
+            // Sampling sets are in node order, so a node's row in
+            // `blocks` is found by binary search.
+            window_nodes.clone_from(&sampling);
+            for (tick, &t) in times.iter().enumerate() {
+                if tick > 0 {
+                    self.begin_tick(&mut sampling);
+                }
+                let precomputed = self.now.to_bits() == t.to_bits();
+                let mut inline_span = None;
+                envs.clear();
+                for &idx in &sampling {
+                    envs.push(match window_nodes.binary_search(&idx) {
+                        Ok(row) if precomputed => blocks[row][tick],
+                        _ => {
+                            if inline_span.is_none() && self.obs_enabled {
+                                inline_span = self.obs.span(Stage::PhaseASense);
+                            }
+                            self.sense_at(idx, self.now)
+                        }
+                    });
+                }
+                drop(inline_span);
+                self.finish_tick(&sampling, &envs);
+            }
         }
         self.trace.elapsed = self.now;
     }
@@ -1864,6 +1927,15 @@ impl IntrusionDetectionSystem {
     /// Total energy consumed across all nodes (mJ).
     pub fn total_energy_mj(&self) -> f64 {
         self.nodes.iter().map(|n| n.energy().consumed_mj()).sum()
+    }
+
+    /// Energy consumed by node `idx` (mJ).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a node index.
+    pub fn node_energy_mj(&self, idx: usize) -> f64 {
+        self.nodes[idx].energy().consumed_mj()
     }
 
     /// Network traffic counters.

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sid_core::{DutyCycleConfig, IntrusionDetectionSystem, SystemConfig};
-use sid_net::{FaultPlanConfig, GilbertElliott};
+use sid_net::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, GilbertElliott};
 use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
 
 fn build_system(
@@ -175,6 +175,103 @@ fn parallel_runs_are_byte_identical_to_sequential() {
             assert_eq!(
                 sequential, parallel,
                 "pool of {threads} threads diverged from sequential (seed {seed})"
+            );
+        }
+    }
+}
+
+/// `run` senses Phase A in 32-tick windows precomputed from each window's
+/// first sampling set. It must stay byte-identical to the per-tick
+/// `begin_tick` → `sense_at` → `finish_tick` seam when nodes join or
+/// leave that set mid-window — a death, an outage and its recovery, and
+/// duty-cycle wake-ups — and when `run` is sliced into calls that are
+/// not whole windows (1, 15 and 85 ticks), on pools of 1, 2 and 4
+/// threads. Journal bytes, trace, network counters, clock and every
+/// node's energy are compared exactly.
+#[test]
+fn windowed_run_equals_the_seam_when_nodes_join_or_leave_mid_window() {
+    // 255 is a multiple of every slice's tick count, so every run ends
+    // on the same tick.
+    const TICKS: u64 = 255 * 15;
+    let build = |threads: usize| {
+        let mut rng = StdRng::seed_from_u64(9);
+        let sea = SeaState::synthesize(WaveSpectrum::sheltered_harbor(), 48, &mut rng);
+        let mut scene = Scene::new(sea, ShipWaveModel::default());
+        scene.add_ship(Ship::new(
+            Vec2::new(40.0, -200.0),
+            Angle::from_degrees(90.0),
+            Knots::new(10.0),
+        ));
+        let config = SystemConfig {
+            duty_cycle: DutyCycleConfig {
+                enabled: true,
+                ..DutyCycleConfig::default()
+            },
+            ..SystemConfig::paper_default(4, 4)
+        };
+        // Nodes 2 and 8 are sentinels (rows and columns 0 and 2), so
+        // they are sampling when the faults strike.
+        let plan = FaultPlan::from_events(vec![
+            FaultEvent {
+                time: 5.13,
+                node: 8,
+                kind: FaultKind::Death,
+            },
+            FaultEvent {
+                time: 7.31,
+                node: 2,
+                kind: FaultKind::Outage { duration: 3.0 },
+            },
+        ]);
+        let obs = sid_obs::Obs::in_memory();
+        let sys = IntrusionDetectionSystem::with_fault_plan(scene, config, 9 ^ 0xdead, plan)
+            .with_pool(std::sync::Arc::new(sid_exec::Pool::new(threads)))
+            .with_obs(obs.clone());
+        (sys, obs)
+    };
+    let fingerprint = |sys: &IntrusionDetectionSystem, obs: &sid_obs::Obs| {
+        let energy: Vec<u64> = (0..sys.node_count())
+            .map(|i| sys.node_energy_mj(i).to_bits())
+            .collect();
+        format!(
+            "{}|{}|{}|{:?}|{}",
+            sid_obs::render_journal(&obs.events().expect("in-memory journal")),
+            serde_json::to_string(sys.trace()).expect("serialisable"),
+            serde_json::to_string(&sys.net_stats()).expect("serialisable"),
+            energy,
+            sys.now().to_bits(),
+        )
+    };
+
+    // The per-tick seam, counting sampling-set joins and leaves.
+    let (mut seam, seam_obs) = build(1);
+    let (mut sampling, mut previous) = (Vec::new(), Vec::new());
+    let (mut joins, mut leaves) = (0, 0);
+    for _ in 0..TICKS {
+        let now = seam.begin_tick(&mut sampling);
+        joins += sampling.iter().filter(|i| !previous.contains(*i)).count();
+        leaves += previous.iter().filter(|i| !sampling.contains(*i)).count();
+        previous.clone_from(&sampling);
+        let envs: Vec<_> = sampling.iter().map(|&i| seam.sense_at(i, now)).collect();
+        seam.finish_tick(&sampling, &envs);
+    }
+    // Beyond the first tick's 4 sentinels: the outage recovery and at
+    // least one duty-cycle wake join; the death and the outage leave.
+    assert!(joins > 5, "only {joins} joins");
+    assert!(leaves >= 2, "only {leaves} leaves");
+    let reference = fingerprint(&seam, &seam_obs);
+
+    for slice in [0.02, 0.3, 1.7] {
+        for threads in [1, 2, 4] {
+            let (mut sys, obs) = build(threads);
+            let calls = TICKS / sys.tick_count(slice);
+            for _ in 0..calls {
+                sys.run(slice);
+            }
+            assert_eq!(
+                reference,
+                fingerprint(&sys, &obs),
+                "run({slice}) on {threads} threads diverged from the per-tick seam"
             );
         }
     }

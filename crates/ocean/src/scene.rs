@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::kelvin::cusp_arrival_delay;
 use crate::sea::SeaState;
 use crate::ship::Ship;
 use crate::shipwave::ShipWaveModel;
@@ -92,6 +93,13 @@ impl Scene {
 
     /// Vertical water acceleration (m/s²) contributed by ship waves alone
     /// at `position`, `t`.
+    ///
+    /// The activity window is decided from the two cheap train
+    /// parameters (arrival delay and duration) first; the full
+    /// [`WaveTrain`](crate::shipwave::WaveTrain) is built only while the
+    /// train is active — the same functions of the same inputs
+    /// [`WaveTrain::is_active`](crate::shipwave::WaveTrain::is_active)
+    /// tests, so the result is unchanged.
     pub fn ship_wave_acceleration(&self, position: Vec2, t: f64) -> f64 {
         self.ships
             .iter()
@@ -100,13 +108,16 @@ impl Scene {
                 if g.lateral < 1e-6 {
                     return 0.0; // directly on the track: run-over, not wake
                 }
-                let train = self.wave_model.wave_train(ship.speed_mps(), g.lateral);
+                let speed = ship.speed_mps();
                 let dt = t - g.time_of_cpa;
-                if train.is_active(dt) {
-                    train.vertical_acceleration(dt)
-                } else {
-                    0.0
+                let arrival = cusp_arrival_delay(g.lateral, speed);
+                let active = (dt - arrival).abs() <= 1.5 * self.wave_model.duration(g.lateral);
+                if !active {
+                    return 0.0;
                 }
+                self.wave_model
+                    .wave_train(speed, g.lateral)
+                    .vertical_acceleration(dt)
             })
             .sum()
     }
@@ -202,28 +213,6 @@ impl Scene {
             slot[1] += h;
         }
         out
-    }
-
-    /// Batched [`Scene::sample_acceleration`]: the same `(ax, ay, az)`
-    /// series via block synthesis.
-    #[allow(clippy::type_complexity)]
-    pub fn sample_acceleration_block(
-        &self,
-        position: Vec2,
-        t0: f64,
-        sample_rate: f64,
-        n: usize,
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let block = self.acceleration_block(position, t0, 1.0 / sample_rate, n);
-        let mut ax = Vec::with_capacity(n);
-        let mut ay = Vec::with_capacity(n);
-        let mut az = Vec::with_capacity(n);
-        for a in block {
-            ax.push(a[0]);
-            ay.push(a[1]);
-            az.push(a[2]);
-        }
-        (ax, ay, az)
     }
 
     /// Samples the three-axis water acceleration at `position` into uniform
@@ -378,13 +367,17 @@ mod tests {
         let ev = scene.passage_events(p, 1e4)[0];
         let t0 = ev.arrival_time - 30.0;
         let n = 60 * 50;
-        let (ax, ay, az) = scene.sample_acceleration_block(p, t0, 50.0, n);
+        let dt = 1.0 / 50.0;
+        let block = scene.acceleration_block(p, t0, dt, n);
         let scale = scene.sea().vertical_accel_rms().max(1.0);
         for i in (0..n).step_by(7) {
-            let direct = scene.acceleration(p, t0 + i as f64 / 50.0);
-            assert!((ax[i] - direct[0]).abs() < 1e-10 * scale, "ax sample {i}");
-            assert!((ay[i] - direct[1]).abs() < 1e-10 * scale, "ay sample {i}");
-            assert!((az[i] - direct[2]).abs() < 1e-10 * scale, "az sample {i}");
+            let direct = scene.acceleration(p, t0 + i as f64 * dt);
+            for (axis, name) in ["ax", "ay", "az"].iter().enumerate() {
+                assert!(
+                    (block[i][axis] - direct[axis]).abs() < 1e-10 * scale,
+                    "{name} sample {i}"
+                );
+            }
         }
     }
 

@@ -15,7 +15,8 @@ use crate::dispersion::deep_wavenumber;
 use crate::spectrum::WaveSpectrum;
 use crate::units::Vec2;
 
-/// One harmonic component of the synthesised sea.
+/// One harmonic component of the synthesised sea, with the per-sample
+/// constants derived once at synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct SeaComponent {
     amplitude: f64,
@@ -24,6 +25,36 @@ struct SeaComponent {
     /// Propagation direction (radians from +x).
     direction: f64,
     phase: f64,
+    /// Wave vector `(cos θ·k, sin θ·k)`.
+    kx: f64,
+    ky: f64,
+    /// `cos θ` and `sin θ`: the horizontal-axis split.
+    dir_cos: f64,
+    dir_sin: f64,
+    /// Acceleration amplitude `A·ω·ω`.
+    aw2: f64,
+}
+
+impl SeaComponent {
+    /// Builds a component and its derived table entries. Each entry is
+    /// the exact expression (and evaluation order) the per-sample kernel
+    /// used to recompute, so every table value is the same `f64`.
+    fn new(amplitude: f64, omega: f64, direction: f64, phase: f64) -> Self {
+        let wavenumber = deep_wavenumber(omega);
+        let (dir_sin, dir_cos) = direction.sin_cos();
+        SeaComponent {
+            amplitude,
+            omega,
+            wavenumber,
+            direction,
+            phase,
+            kx: dir_cos * wavenumber,
+            ky: dir_sin * wavenumber,
+            dir_cos,
+            dir_sin,
+            aw2: amplitude * omega * omega,
+        }
+    }
 }
 
 /// A frozen realisation of a random sea.
@@ -80,12 +111,13 @@ impl SeaState {
         let wp = spectrum.peak_omega();
         let (lo, hi) = (wp * 0.3, wp * 6.0);
         let dw = (hi - lo) / n_components as f64;
+        let curve = spectrum.curve();
         let components = (0..n_components)
             .map(|i| {
                 // Jitter each component inside its bin so the record is not
                 // periodic with the bin spacing.
                 let omega = lo + (i as f64 + rng.gen::<f64>()) * dw;
-                let amplitude = (2.0 * spectrum.density(omega) * dw).sqrt();
+                let amplitude = (2.0 * curve.density(omega) * dw).sqrt();
                 // cos²-spread direction about the mean: draw by rejection.
                 let spread = loop {
                     let d: f64 = rng.gen_range(-std::f64::consts::FRAC_PI_2
@@ -95,13 +127,12 @@ impl SeaState {
                         break d;
                     }
                 };
-                SeaComponent {
+                SeaComponent::new(
                     amplitude,
                     omega,
-                    wavenumber: deep_wavenumber(omega),
-                    direction: mean_direction + spread,
-                    phase: rng.gen_range(0.0..std::f64::consts::TAU),
-                }
+                    mean_direction + spread,
+                    rng.gen_range(0.0..std::f64::consts::TAU),
+                )
             })
             .collect();
         SeaState {
@@ -121,34 +152,36 @@ impl SeaState {
         self.components.len()
     }
 
+    /// `k·p − ω·t + φ` from the component table: no trigonometry.
     #[inline]
-    fn component_phase(&self, c: &SeaComponent, position: Vec2, t: f64) -> f64 {
-        let k_vec = Vec2::new(c.direction.cos(), c.direction.sin()).scale(c.wavenumber);
-        k_vec.dot(position) - c.omega * t + c.phase
+    fn component_phase(c: &SeaComponent, position: Vec2, t: f64) -> f64 {
+        c.kx * position.x + c.ky * position.y - c.omega * t + c.phase
     }
 
     /// Sea-surface elevation (m) at `position` and time `t` (s).
     pub fn elevation(&self, position: Vec2, t: f64) -> f64 {
         self.components
             .iter()
-            .map(|c| c.amplitude * self.component_phase(c, position, t).cos())
+            .map(|c| c.amplitude * Self::component_phase(c, position, t).cos())
             .sum()
     }
 
     /// Surface water acceleration (m/s²) at `position` and time `t`:
     /// `(ax, ay, az)` where `az` is the vertical component a floating buoy
     /// heaves with and `(ax, ay)` the horizontal orbital components.
+    ///
+    /// One `sin`/`cos` pair per component; everything else comes from the
+    /// table built at synthesis.
     pub fn acceleration(&self, position: Vec2, t: f64) -> [f64; 3] {
         let mut a = [0.0f64; 3];
         for c in &self.components {
-            let phi = self.component_phase(c, position, t);
-            let aw2 = c.amplitude * c.omega * c.omega;
+            let (sin, cos) = Self::component_phase(c, position, t).sin_cos();
             // Deep-water linear theory at the surface: vertical accel
             // −∂²η/∂t² in phase with −cos, horizontal 90° out of phase.
-            a[2] -= aw2 * phi.cos();
-            let h = aw2 * phi.sin();
-            a[0] += h * c.direction.cos();
-            a[1] += h * c.direction.sin();
+            a[2] -= c.aw2 * cos;
+            let h = c.aw2 * sin;
+            a[0] += h * c.dir_cos;
+            a[1] += h * c.dir_sin;
         }
         a
     }
@@ -159,7 +192,7 @@ impl SeaState {
         (self
             .components
             .iter()
-            .map(|c| (c.amplitude * c.omega * c.omega).powi(2) / 2.0)
+            .map(|c| c.aw2.powi(2) / 2.0)
             .sum::<f64>())
         .sqrt()
     }
@@ -199,13 +232,12 @@ impl SeaState {
     pub fn accumulate_block(&self, position: Vec2, t0: f64, dt: f64, out: &mut [[f64; 3]]) {
         let n = out.len();
         for c in &self.components {
-            let (dir_sin, dir_cos) = c.direction.sin_cos();
-            let aw2 = c.amplitude * c.omega * c.omega;
+            let (dir_sin, dir_cos, aw2) = (c.dir_sin, c.dir_cos, c.aw2);
             let (rot_sin, rot_cos) = (-c.omega * dt).sin_cos();
             let mut start = 0;
             while start < n {
                 let end = (start + PHASE_RESYNC_STEPS).min(n);
-                let phi = self.component_phase(c, position, t0 + start as f64 * dt);
+                let phi = Self::component_phase(c, position, t0 + start as f64 * dt);
                 let (mut sin, mut cos) = phi.sin_cos();
                 for slot in &mut out[start..end] {
                     slot[2] -= aw2 * cos;
@@ -219,21 +251,6 @@ impl SeaState {
                 start = end;
             }
         }
-    }
-
-    /// Batched vertical acceleration at `sample_rate` Hz: the block
-    /// counterpart of [`SeaState::sample_vertical_accel`].
-    pub fn vertical_accel_block(
-        &self,
-        position: Vec2,
-        t0: f64,
-        sample_rate: f64,
-        n: usize,
-    ) -> Vec<f64> {
-        self.acceleration_block(position, t0, 1.0 / sample_rate, n)
-            .into_iter()
-            .map(|a| a[2])
-            .collect()
     }
 }
 
@@ -375,9 +392,10 @@ mod tests {
         let sea = test_sea(8);
         let p = Vec2::new(-3.0, 9.0);
         let a = sea.sample_vertical_accel(p, 1.0, 50.0, 700);
-        let b = sea.vertical_accel_block(p, 1.0, 50.0, 700);
+        let b = sea.acceleration_block(p, 1.0, 1.0 / 50.0, 700);
+        assert_eq!(b.len(), a.len());
         let scale = sea.vertical_accel_rms();
-        for (x, y) in a.iter().zip(b.iter()) {
+        for (x, y) in a.iter().zip(b.iter().map(|s| s[2])) {
             assert!((x - y).abs() < 1e-10 * scale.max(1.0), "{x} vs {y}");
         }
     }

@@ -57,17 +57,16 @@ impl WaveSpectrum {
     /// Spectral density S(ω) in m²·s/rad at angular frequency `omega`
     /// (rad/s). Returns 0 for non-positive `omega`.
     pub fn density(&self, omega: f64) -> f64 {
-        if omega <= 0.0 {
-            return 0.0;
-        }
+        self.curve().density(omega)
+    }
+
+    /// The spectrum with its ω-independent constants evaluated once, for
+    /// callers that sample many frequencies.
+    pub(crate) fn curve(&self) -> DensityCurve {
         match *self {
-            WaveSpectrum::PiersonMoskowitz { wind_speed } => {
-                let alpha = 8.1e-3;
-                let beta = 0.74;
-                let omega0 = GRAVITY / wind_speed.max(1e-6);
-                alpha * GRAVITY * GRAVITY / omega.powi(5)
-                    * (-beta * (omega0 / omega).powi(4)).exp()
-            }
+            WaveSpectrum::PiersonMoskowitz { wind_speed } => DensityCurve::PiersonMoskowitz {
+                omega0: GRAVITY / wind_speed.max(1e-6),
+            },
             WaveSpectrum::Jonswap {
                 wind_speed,
                 fetch,
@@ -77,15 +76,11 @@ impl WaveSpectrum {
                 let x = fetch.max(1.0);
                 // Dimensionless fetch and standard JONSWAP parameters.
                 let x_tilde = GRAVITY * x / (u * u);
-                let alpha = 0.076 * x_tilde.powf(-0.22);
-                let omega_p = 22.0 * (GRAVITY * GRAVITY / (u * x)).powf(1.0 / 3.0);
-                let sigma = if omega <= omega_p { 0.07 } else { 0.09 };
-                let r = (-(omega - omega_p).powi(2)
-                    / (2.0 * sigma * sigma * omega_p * omega_p))
-                    .exp();
-                alpha * GRAVITY * GRAVITY / omega.powi(5)
-                    * (-1.25 * (omega_p / omega).powi(4)).exp()
-                    * gamma.powf(r)
+                DensityCurve::Jonswap {
+                    alpha: 0.076 * x_tilde.powf(-0.22),
+                    omega_p: 22.0 * (GRAVITY * GRAVITY / (u * x)).powf(1.0 / 3.0),
+                    gamma,
+                }
             }
         }
     }
@@ -116,11 +111,12 @@ impl WaveSpectrum {
         assert!(hi > lo && lo >= 0.0, "need 0 <= lo < hi");
         assert!(steps > 0, "need at least one step");
         let dw = (hi - lo) / steps as f64;
+        let curve = self.curve();
         let mut sum = 0.0;
         for i in 0..=steps {
             let w = lo + i as f64 * dw;
             let weight = if i == 0 || i == steps { 0.5 } else { 1.0 };
-            sum += weight * self.density(w);
+            sum += weight * curve.density(w);
         }
         sum * dw
     }
@@ -130,6 +126,55 @@ impl WaveSpectrum {
     pub fn significant_wave_height(&self) -> f64 {
         let wp = self.peak_omega();
         4.0 * self.moment0(wp * 0.2, wp * 8.0, 4000).sqrt()
+    }
+}
+
+/// A [`WaveSpectrum`] with its frequency-independent constants
+/// precomputed: [`WaveSpectrum::density`] without re-evaluating them
+/// (two `powf` per JONSWAP call) at every frequency.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DensityCurve {
+    PiersonMoskowitz {
+        /// `g/U`.
+        omega0: f64,
+    },
+    Jonswap {
+        /// Phillips constant `0.076·x̃^−0.22`.
+        alpha: f64,
+        /// Peak angular frequency (rad/s).
+        omega_p: f64,
+        /// Peak-enhancement factor γ.
+        gamma: f64,
+    },
+}
+
+impl DensityCurve {
+    /// S(ω) in m²·s/rad; 0 for non-positive `omega`.
+    pub(crate) fn density(&self, omega: f64) -> f64 {
+        if omega <= 0.0 {
+            return 0.0;
+        }
+        match *self {
+            DensityCurve::PiersonMoskowitz { omega0 } => {
+                let alpha = 8.1e-3;
+                let beta = 0.74;
+                alpha * GRAVITY * GRAVITY / omega.powi(5)
+                    * (-beta * (omega0 / omega).powi(4)).exp()
+            }
+            DensityCurve::Jonswap {
+                alpha,
+                omega_p,
+                gamma,
+            } => {
+                let sigma = if omega <= omega_p { 0.07 } else { 0.09 };
+                let r = (-(omega - omega_p).powi(2)
+                    / (2.0 * sigma * sigma * omega_p * omega_p))
+                    .exp();
+                alpha * GRAVITY * GRAVITY / omega.powi(5)
+                    * (-1.25 * (omega_p / omega).powi(4)).exp()
+                    * gamma.powf(r)
+            }
+        }
     }
 }
 

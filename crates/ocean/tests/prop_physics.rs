@@ -8,7 +8,7 @@ use sid_ocean::dispersion::{
     deep_phase_speed, deep_wavenumber, depth_froude_number, wavenumber_at_depth,
 };
 use sid_ocean::kelvin::{cusp_arrival_delay, divergent_wave_angle, wake_relation};
-use sid_ocean::{Angle, Knots, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum, GRAVITY};
+use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum, GRAVITY};
 
 proptest! {
     #[test]
@@ -177,6 +177,201 @@ fn block_synthesis_drift_stays_below_1e9_over_600_s() {
             max_err[axis],
             rel,
             rms
+        );
+    }
+}
+
+/// One sea component as the per-call reference formula reads it: the
+/// stored physical parameters only, none of the derived table.
+#[derive(serde::Deserialize)]
+struct RefComponent {
+    amplitude: f64,
+    omega: f64,
+    wavenumber: f64,
+    direction: f64,
+    phase: f64,
+}
+
+#[derive(serde::Deserialize)]
+struct RefSea {
+    components: Vec<RefComponent>,
+}
+
+#[derive(serde::Deserialize)]
+struct RefScene {
+    sea: RefSea,
+    horizontal_coupling: f64,
+}
+
+impl RefSea {
+    fn of(sea: &SeaState) -> Self {
+        serde::Deserialize::from_value(&serde::Serialize::to_value(sea)).expect("sea round-trips")
+    }
+
+    /// The per-call phase: wave vector rebuilt from `direction` every time.
+    fn phase(c: &RefComponent, position: Vec2, t: f64) -> f64 {
+        let k_vec = Vec2::new(c.direction.cos(), c.direction.sin()).scale(c.wavenumber);
+        k_vec.dot(position) - c.omega * t + c.phase
+    }
+
+    fn elevation(&self, position: Vec2, t: f64) -> f64 {
+        self.components
+            .iter()
+            .map(|c| c.amplitude * Self::phase(c, position, t).cos())
+            .sum()
+    }
+
+    fn acceleration(&self, position: Vec2, t: f64) -> [f64; 3] {
+        let mut a = [0.0f64; 3];
+        for c in &self.components {
+            let phi = Self::phase(c, position, t);
+            let aw2 = c.amplitude * c.omega * c.omega;
+            a[2] -= aw2 * phi.cos();
+            let h = aw2 * phi.sin();
+            a[0] += h * c.direction.cos();
+            a[1] += h * c.direction.sin();
+        }
+        a
+    }
+}
+
+impl RefScene {
+    fn of(scene: &Scene) -> Self {
+        serde::Deserialize::from_value(&serde::Serialize::to_value(scene))
+            .expect("scene round-trips")
+    }
+
+    /// The per-call ship term: the full wave train built for every ship
+    /// at every sample, then tested for activity.
+    fn ship_wave_acceleration(scene: &Scene, position: Vec2, t: f64) -> f64 {
+        scene
+            .ships()
+            .iter()
+            .map(|ship| {
+                let g = ship.track_geometry(position);
+                if g.lateral < 1e-6 {
+                    return 0.0;
+                }
+                let train = scene.wave_model().wave_train(ship.speed_mps(), g.lateral);
+                let dt = t - g.time_of_cpa;
+                if train.is_active(dt) {
+                    train.vertical_acceleration(dt)
+                } else {
+                    0.0
+                }
+            })
+            .sum()
+    }
+
+    fn acceleration(&self, scene: &Scene, position: Vec2, t: f64) -> [f64; 3] {
+        let mut a = self.sea.acceleration(position, t);
+        let ship_az = Self::ship_wave_acceleration(scene, position, t);
+        a[2] += ship_az;
+        let h = self.horizontal_coupling * ship_az * std::f64::consts::FRAC_1_SQRT_2;
+        a[0] += h;
+        a[1] += h;
+        a
+    }
+}
+
+fn preset(i: usize) -> WaveSpectrum {
+    match i {
+        0 => WaveSpectrum::moderate_sea(),
+        1 => WaveSpectrum::calm_sea(),
+        _ => WaveSpectrum::sheltered_harbor(),
+    }
+}
+
+fn bits3(a: [f64; 3]) -> [u64; 3] {
+    a.map(f64::to_bits)
+}
+
+proptest! {
+    /// The component-table kernel is bit-identical to the per-call
+    /// formula it replaced, for every preset, component count, position
+    /// and time.
+    #[test]
+    fn sea_kernel_is_bit_identical_to_per_call_formula(
+        seed in 0u64..10_000,
+        which in 0usize..3,
+        n in 1usize..129,
+        direction in -3.2..3.2f64,
+        px in -500.0..500.0f64,
+        py in -500.0..500.0f64,
+        t in 0.0..2_000.0f64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sea = SeaState::synthesize_with_direction(preset(which), n, direction, &mut rng);
+        let reference = RefSea::of(&sea);
+        prop_assert_eq!(reference.components.len(), n);
+        let p = Vec2::new(px, py);
+        prop_assert_eq!(sea.elevation(p, t).to_bits(), reference.elevation(p, t).to_bits());
+        prop_assert_eq!(bits3(sea.acceleration(p, t)), bits3(reference.acceleration(p, t)));
+    }
+
+    /// `Scene::acceleration`, with its ship-wave early-out, is
+    /// bit-identical to the per-call formula inside the active window,
+    /// on and just beyond its ±1.5·duration edges, far from it, and at a
+    /// point exactly on the sailing line.
+    #[test]
+    fn scene_kernel_is_bit_identical_to_per_call_formula(
+        seed in 0u64..10_000,
+        which in 0usize..3,
+        n in 1usize..129,
+        sx in -300.0..300.0f64,
+        sy in -300.0..300.0f64,
+        heading in 0.0..360.0f64,
+        knots in 2.0..25.0f64,
+        px in -200.0..200.0f64,
+        py in -200.0..200.0f64,
+        inside in -1.0..1.0f64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sea = SeaState::synthesize(preset(which), n, &mut rng);
+        let mut scene = Scene::new(sea, ShipWaveModel::default());
+        let ship = Ship::new(Vec2::new(sx, sy), Angle::from_degrees(heading), Knots::new(knots));
+        scene.add_ship(ship);
+        let reference = RefScene::of(&scene);
+        let p = Vec2::new(px, py);
+        let g = ship.track_geometry(p);
+        prop_assume!(g.lateral >= 1e-6);
+        let train = scene.wave_model().wave_train(ship.speed_mps(), g.lateral);
+        let centre = g.time_of_cpa + train.arrival_delay;
+        let edge = 1.5 * train.duration;
+        let nudge = |t: f64, ulps: i64| f64::from_bits((t.to_bits() as i64 + ulps) as u64);
+        let mut times = vec![
+            centre,
+            centre + inside * edge,
+            centre - 1_000.0,
+            centre + 1_000.0,
+        ];
+        for boundary in [centre - edge, centre + edge] {
+            for ulps in -2..=2 {
+                times.push(nudge(boundary, ulps));
+            }
+            times.push(boundary - 1e-6);
+            times.push(boundary + 1e-6);
+        }
+        // The cases reach both branches of the early-out.
+        prop_assert!(scene.ship_wave_acceleration(p, centre) != 0.0);
+        prop_assert_eq!(scene.ship_wave_acceleration(p, centre + 1_000.0), 0.0);
+        for &t in &times {
+            prop_assert_eq!(
+                bits3(scene.acceleration(p, t)),
+                bits3(reference.acceleration(&scene, p, t)),
+                "t = {}", t
+            );
+            prop_assert_eq!(
+                scene.ship_wave_acceleration(p, t).to_bits(),
+                RefScene::ship_wave_acceleration(&scene, p, t).to_bits()
+            );
+        }
+        // Exactly on the sailing line: run-over, no wake term.
+        let on_track = ship.start();
+        prop_assert_eq!(ship.track_geometry(on_track).lateral, 0.0);
+        prop_assert_eq!(
+            bits3(scene.acceleration(on_track, centre)),
+            bits3(reference.acceleration(&scene, on_track, centre))
         );
     }
 }
