@@ -8,7 +8,7 @@
 //! empty array, so CI can diff it).
 //!
 //! Usage: `dst [--seeds N] [--seed-start S] [--seed n] [--threads N]
-//! [--quick] [--sabotage] [--fleet] [--no-write]`
+//! [--quick] [--sabotage] [--fleet] [--no-write] [--check]`
 //!
 //! * default: 200 seeds from 1000 (`--quick`: 40) fanned over the
 //!   worker pool. Each scenario itself runs single-threaded, so
@@ -28,12 +28,21 @@
 //!   fingerprint stand, but `results/DST_*.json` are left untouched
 //!   (for auxiliary seed slices that must not clobber the committed
 //!   `dst-smoke` population).
+//! * `--check` reads the committed `results/DST_summary.json` before
+//!   running and exits 1 when the run's `deterministic` section (stage
+//!   counts and journal size) differs from it, 2 when the file is
+//!   unreadable. `dst-smoke` runs the committed population with
+//!   `--no-write --check`, so it verifies the artifact instead of
+//!   rewriting it with this host's thread count.
 
 use std::time::Instant;
 
 use sid_bench::common::write_json;
 use sid_dst::{check_all, execute, shrink, FailureRecord, Sabotage, Scenario, SHRINK_BUDGET};
-use sid_obs::{fnv1a, Event, Obs, RunSummary, StageCounts};
+use sid_obs::{fnv1a, DeterministicSummary, Event, Obs, RunSummary, StageCounts};
+
+/// The committed summary `--check` compares against.
+const SUMMARY_PATH: &str = "results/DST_summary.json";
 
 struct SeedOutcome {
     seed: u64,
@@ -72,6 +81,22 @@ fn replay_one(seed: u64, sabotage: Sabotage, fleet: bool) {
     }
 }
 
+/// Reads the `deterministic` section of the committed [`SUMMARY_PATH`],
+/// exiting with status 2 when it cannot.
+fn committed_deterministic() -> DeterministicSummary {
+    let read = || -> Result<DeterministicSummary, String> {
+        let json = std::fs::read_to_string(SUMMARY_PATH)
+            .map_err(|e| format!("cannot read {SUMMARY_PATH}: {e}"))?;
+        let summary: RunSummary =
+            serde_json::from_str(&json).map_err(|e| format!("cannot parse {SUMMARY_PATH}: {e}"))?;
+        Ok(summary.deterministic)
+    };
+    read().unwrap_or_else(|e| {
+        eprintln!("dst --check: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(threads) = sid_exec::threads_from_args(&args) {
@@ -94,6 +119,10 @@ fn main() {
         replay_one(seed, sabotage, fleet);
         return;
     }
+    let committed = args
+        .iter()
+        .any(|a| a == "--check")
+        .then(committed_deterministic);
     let seed_start = flag_value("--seed-start").unwrap_or(1000);
     let seeds = flag_value("--seeds")
         .unwrap_or(if quick { 40 } else { 200 })
@@ -169,11 +198,11 @@ fn main() {
         }
     }
     env_obs.flush();
+    let summary = RunSummary::new("dst", pool.threads(), counts, &env_obs);
     if args.iter().any(|a| a == "--no-write") {
         println!("[--no-write: results/DST_*.json left untouched]");
     } else {
         write_json("DST_failures", &failures);
-        let summary = RunSummary::new("dst", pool.threads(), counts, &env_obs);
         write_json("DST_summary", &summary);
     }
     println!(
@@ -194,6 +223,17 @@ fn main() {
         pool.threads(),
         wall.elapsed().as_secs_f64()
     );
+    if let Some(expected) = committed {
+        if summary.deterministic != expected {
+            eprintln!(
+                "dst --check: FAIL — the deterministic summary differs from {SUMMARY_PATH} \
+                 ({} vs {} journal events)",
+                summary.deterministic.journal_events, expected.journal_events
+            );
+            std::process::exit(1);
+        }
+        println!("dst --check: deterministic summary matches {SUMMARY_PATH}");
+    }
     if !failures.is_empty() {
         std::process::exit(1);
     }

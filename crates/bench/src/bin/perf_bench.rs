@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use sid_bench::common::{harbor_sea, northbound_scene, write_json, write_obs_summary};
+use sid_bench::common::{harbor_sea, host_cores, northbound_scene, write_json, write_obs_summary};
 use sid_bench::node_level::fig11;
 use sid_bench::tables::table1;
 use sid_core::{IntrusionDetectionSystem, SystemConfig};
@@ -152,7 +152,7 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     let threads = sid_exec::global().threads();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = host_cores();
     println!(
         "=== perf_bench: {threads} worker threads on {host_cores} cores{} ===",
         if quick { " (quick)" } else { "" }

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use sid_bench::common::{committed_baseline, write_json};
+use sid_bench::common::{committed_baseline, host_cores, write_json};
 use sid_dst::{Sabotage, Scenario};
 use sid_serve::{SessionId, SessionManager, SessionReport, SessionSpec};
 
@@ -61,6 +61,8 @@ struct ThreadRun {
 #[derive(Debug, Serialize)]
 struct ServeReport {
     quick: bool,
+    /// `std::thread::available_parallelism` on the measuring host.
+    host_cores: usize,
     tenants: usize,
     total_nodes: usize,
     sim_seconds_per_tenant: f64,
@@ -178,6 +180,7 @@ fn measure(quick: bool) -> ServeReport {
     let real_time_ratio = thread_runs[0].real_time_ratio;
     ServeReport {
         quick,
+        host_cores: host_cores(),
         tenants,
         total_nodes,
         sim_seconds_per_tenant: sim_seconds,

@@ -7,8 +7,9 @@
 //!
 //! With `--check` the binary becomes a perf regression gate: it loads
 //! the committed `results/BENCH_stream.json` *before* measuring, re-runs
-//! only the engine section, and exits non-zero when sustained throughput
-//! fell more than 20% below the committed `engine.samples_per_sec`.
+//! only the engine section `CHECK_REPS` (5) times, and exits non-zero when
+//! the median sustained throughput fell more than 20% below the
+//! committed `engine.samples_per_sec`.
 //! Nothing is written in check mode, so a regressed run can never
 //! overwrite the baseline it was judged against.
 //!
@@ -189,23 +190,33 @@ fn bench_driver(quick: bool) -> DriverComparison {
 /// Fraction of the committed throughput the gate still accepts.
 const CHECK_FLOOR: f64 = 0.8;
 
-/// The `--check` regression gate: measure the engine section and exit
-/// non-zero if throughput dropped more than 20% below the committed
-/// baseline. Writes no JSON.
+/// Timed engine repetitions the gate takes the median of: one quick
+/// repetition is a few tens of milliseconds, short enough for a single
+/// scheduling hiccup to sink it.
+const CHECK_REPS: usize = 5;
+
+/// The `--check` regression gate: measure the engine section
+/// `CHECK_REPS` times and exit non-zero if the median throughput
+/// dropped more than 20% below the committed baseline. Writes no JSON.
 fn run_check(quick: bool, threads: usize) -> ! {
     let committed = committed_baseline(
         "stream_bench",
         "results/BENCH_stream.json",
         &["engine", "samples_per_sec"],
     );
-    let engine = bench_engine(quick);
+    let mut rates: Vec<f64> = (0..CHECK_REPS)
+        .map(|_| bench_engine(quick).samples_per_sec)
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let median = rates[CHECK_REPS / 2];
     let floor = CHECK_FLOOR * committed;
     println!(
-        "engine gate: measured {:.0} samples/s at {threads} threads \
-         (committed {committed:.0}, floor {floor:.0})",
-        engine.samples_per_sec
+        "engine gate: median {median:.0} samples/s of {CHECK_REPS} runs at {threads} threads \
+         (range {:.0}–{:.0}; committed {committed:.0}, floor {floor:.0})",
+        rates[0],
+        rates[CHECK_REPS - 1]
     );
-    if engine.samples_per_sec < floor {
+    if median < floor {
         eprintln!(
             "stream_bench --check: FAIL — engine throughput regressed more than {:.0}% \
              below the committed baseline",

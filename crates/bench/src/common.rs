@@ -134,6 +134,12 @@ pub fn committed_baseline(gate: &str, path: &str, keys: &[&str]) -> f64 {
     })
 }
 
+/// The measuring host's core count (`std::thread::available_parallelism`),
+/// recorded in every bench report beside its thread counts.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Formats a probability as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:5.1} %", 100.0 * x)

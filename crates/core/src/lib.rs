@@ -49,7 +49,7 @@
 //! | streaming engine | push-based ingest of the eq. 4–8 detector with bounded rings and serde snapshot/restore (DESIGN.md §12) | `sid-stream` |
 //! | alerting edge | severity grading, token-bucket rate limiting and storm coalescing downstream of sink confirmation (DESIGN.md §13) | `sid-alert`, wired via `SystemConfig::alert` |
 //! | fleet index | spatial-hash neighbor tables, byte-identical to the brute-force scan (DESIGN.md §16) | `sid-net` (`Topology`, `NeighborIndex`) |
-//! | region sharding | Phase-A sensing fanned to the worker pool one spatial shard per task; radio deliveries stay on the single `(time, seq)` queue (DESIGN.md §17) | `sid-net` (`ShardMap`), [`IntrusionDetectionSystem::with_shards`] |
+//! | windowed Phase A | both drivers sense one pool task per node over 32-tick windows, byte-identical to the per-tick seam; a session's shard count is carried through `sid-serve` checkpoints but no longer changes dispatch (DESIGN.md §9, §17) | [`IntrusionDetectionSystem::run`], [`IntrusionDetectionSystem::run_events`], [`IntrusionDetectionSystem::with_shards`] |
 //! | multi-tenant service | N sessions multiplexed on one pool with deterministic per-tenant journals and checkpoint/migrate/resume (DESIGN.md §17) | `sid-serve` |
 //!
 //! # Examples

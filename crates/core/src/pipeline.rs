@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use sid_alert::{AlertConfig, AlertEdge, AlertInput};
 use sid_net::{
     CongestionModel, EventScheduler, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig,
-    GilbertElliott, Network, NodeId, RadioModel, ShardMap, SyncModel, Topology,
+    GilbertElliott, Network, NodeId, RadioModel, SyncModel, Topology,
 };
 use sid_obs::{Event, GaugeId, Obs, Stage};
 use sid_ocean::{Scene, Vec2};
@@ -162,11 +162,118 @@ impl SystemConfig {
     }
 }
 
-/// Ticks of Phase-A sensing [`IntrusionDetectionSystem::run`] batches
-/// into one pool dispatch (0.64 s at 50 Hz): each task senses one node
-/// for the whole window. A node that stops sampling mid-window wastes at
-/// most `PHASE_A_WINDOW_TICKS − 1` samples.
+/// Ticks of Phase-A sensing a [`SenseWindow`] batches into one pool
+/// dispatch (0.64 s at 50 Hz): each task senses one node for the whole
+/// window. A node that stops sampling mid-window wastes at most
+/// `PHASE_A_WINDOW_TICKS − 1` samples.
 const PHASE_A_WINDOW_TICKS: u64 = 32;
+
+/// A [`SenseWindow`] of at most this many node-samples (nodes × ticks;
+/// 16 nodes for a full window, ~0.5 ms of sensing) is sensed on the
+/// calling thread instead of the pool. On a shared 2-core host a second
+/// worker sped such windows up 1.4× when the host was idle but only
+/// 1.1× with both cores busy, so a duty-cycled fleet, whose windows
+/// hold just its sentinel picket, ran 27% slower from one run to the
+/// next; inline, its rate moved 3%. Larger windows keep the pool.
+const PHASE_A_INLINE_SAMPLES: usize = 512;
+
+/// Phase-A sensing batched over windows of up to
+/// [`PHASE_A_WINDOW_TICKS`] ticks: the one window both
+/// [`IntrusionDetectionSystem::run`] and
+/// [`IntrusionDetectionSystem::run_events`] sense through.
+///
+/// At a window's first sensing tick, one
+/// [`Pool::par_map`](sid_exec::Pool::par_map) senses that tick's
+/// sampling set at every tick time of the window, one task per node
+/// (windows of at most [`PHASE_A_INLINE_SAMPLES`] node-samples are
+/// sensed on the calling thread).
+/// The times replicate the pipeline's own `now += dt` additions and stop
+/// at the end of the driver call. Later ticks read a node's row by
+/// binary search. A node that joins the sampling set mid-window, and any
+/// tick whose clock bits differ from the precomputed time, is sensed
+/// inline. Windows run over tick index, so ticks the event driver skips
+/// as idle still use up their slots. Sensing is pure in time
+/// ([`IntrusionDetectionSystem::sense_at`]), so every tick gets exactly
+/// the samples the per-tick `begin_tick` → `sense_at` → `finish_tick`
+/// seam gives it. A window lives for one driver call.
+#[derive(Default)]
+struct SenseWindow {
+    /// Call-relative index of the window's first tick.
+    first: u64,
+    /// The window's sampling set, ascending; row `i` belongs to `nodes[i]`.
+    nodes: Vec<usize>,
+    /// The window's tick times.
+    times: Vec<f64>,
+    /// `rows[i][k]` is node `nodes[i]` sensed at `times[k]`.
+    rows: Vec<Vec<EnvSample>>,
+}
+
+impl SenseWindow {
+    /// Fills `envs` with one scene evaluation per node of `sampling`
+    /// (ascending) at `sys.now`, the time of call-relative tick `tick`
+    /// of a driver call of `steps` ticks. Opens a new window when `tick`
+    /// lies past the current one and something samples.
+    fn sense(
+        &mut self,
+        sys: &IntrusionDetectionSystem,
+        tick: u64,
+        steps: u64,
+        sampling: &[usize],
+        envs: &mut Vec<EnvSample>,
+    ) {
+        let open_span = || {
+            if sys.obs_enabled {
+                sys.obs.span(Stage::PhaseASense)
+            } else {
+                None
+            }
+        };
+        let mut span = None;
+        if tick >= self.first + self.times.len() as u64 && !sampling.is_empty() {
+            span = open_span();
+            let dt = sys.tick_dt();
+            let mut t = sys.now;
+            self.first = tick;
+            self.times.clear();
+            self.times.push(t);
+            for _ in 1..(steps - tick).min(PHASE_A_WINDOW_TICKS) {
+                t += dt;
+                self.times.push(t);
+            }
+            self.nodes.clear();
+            self.nodes.extend_from_slice(sampling);
+            let (nodes, scene, times) = (&sys.nodes, &sys.scene, &self.times);
+            let row = |&idx: &usize| -> Vec<EnvSample> {
+                times
+                    .iter()
+                    .map(|&t| nodes[idx].sense_environment(scene, t))
+                    .collect()
+            };
+            self.rows = if sampling.len() * times.len() <= PHASE_A_INLINE_SAMPLES {
+                sampling.iter().map(row).collect()
+            } else {
+                sys.pool.par_map(sampling, row)
+            };
+        }
+        let slot = (tick - self.first) as usize;
+        let precomputed = self
+            .times
+            .get(slot)
+            .is_some_and(|t| t.to_bits() == sys.now.to_bits());
+        envs.clear();
+        for &idx in sampling {
+            envs.push(match self.nodes.binary_search(&idx) {
+                Ok(row) if precomputed => self.rows[row][slot],
+                _ => {
+                    if span.is_none() {
+                        span = open_span();
+                    }
+                    sys.sense_at(idx, sys.now)
+                }
+            });
+        }
+    }
+}
 
 /// The number of whole `dt`-length ticks in `duration` seconds —
 /// `duration / dt` rounded half-up with a relative epsilon of one part
@@ -337,11 +444,9 @@ pub struct IntrusionDetectionSystem {
     /// Nodes whose `wake_until` an invite extended this tick while they
     /// slept; the event driver turns each into a next-tick `DutyWake`.
     wake_dirty: Vec<usize>,
-    /// Region sharding ([`Self::with_shards`]): `None` runs unsharded.
-    /// With K > 1 shards, Phase A sensing is grouped into one pool task
-    /// per spatial shard — byte-identical to the unsharded run, since
-    /// sensing is pure and its results are placed by index.
-    shard_map: Option<ShardMap>,
+    /// The spatial shard count set by [`Self::with_shards`] (1 when
+    /// unsharded). Stored and reported only: it changes no dispatch.
+    shards: usize,
 }
 
 impl IntrusionDetectionSystem {
@@ -447,7 +552,7 @@ impl IntrusionDetectionSystem {
             active: Vec::new(),
             energy_dirty: Vec::new(),
             wake_dirty: Vec::new(),
-            shard_map: None,
+            shards: 1,
         }
     }
 
@@ -487,27 +592,22 @@ impl IntrusionDetectionSystem {
         self
     }
 
-    /// Partitions the deployment into `shards` contiguous spatial
-    /// regions ([`ShardMap`], cell-column boundaries shared with the
-    /// spatial-hash neighbor index) that group Phase-A sensing in
-    /// [`run_events`](Self::run_events): each tick hands the worker pool
-    /// one task per shard instead of one per node ([`run`](Self::run)
-    /// already batches per node over a whole window). Nothing else is
-    /// sharded — Phase B stays sequential in node
-    /// order and radio deliveries stay on the network's single
-    /// `(time, seq)` queue. Every journal byte is identical to the
-    /// unsharded run, because sensing is pure and its results are placed
-    /// by index (the DST `shard_equivalence` oracle enforces this on
-    /// fuzzed scenarios). `shards <= 1` removes the partition.
+    /// Records the spatial shard count a session was opened with
+    /// (`shards <= 1` means unsharded). The count is carried, not acted
+    /// on: it does not change how Phase A is dispatched, since both
+    /// drivers hand the pool one task per node over a whole window of
+    /// ticks. `sid-serve` stores it in sessions and checkpoints, and the
+    /// DST `shard_equivalence` oracle still proves that any count, pool
+    /// width and migration leave every journal byte unchanged.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shard_map = (shards > 1).then(|| ShardMap::from_topology(&self.topology, shards));
+        self.shards = shards.max(1);
         self
     }
 
-    /// Number of spatial shards the deployment is partitioned into
-    /// (1 when unsharded).
+    /// The spatial shard count recorded by [`Self::with_shards`] (1 when
+    /// unsharded).
     pub fn shards(&self) -> usize {
-        self.shard_map.as_ref().map_or(1, ShardMap::shards)
+        self.shards
     }
 
     /// Replaces the sentinel mask with an index-stride pattern: node
@@ -1270,48 +1370,6 @@ impl IntrusionDetectionSystem {
         self.now
     }
 
-    /// Phase A part 2 for a whole sampling set: evaluates the scene for
-    /// every index in `sampling` at the current tick time, returning
-    /// results in `sampling` order.
-    ///
-    /// Unsharded, this is one [`Pool::par_map`](sid_exec::Pool::par_map)
-    /// over the sampling list. With a [`ShardMap`] installed
-    /// ([`Self::with_shards`]) the list is grouped by spatial shard and
-    /// each shard's slice is sensed as one pool task, results scattered
-    /// back by position. Both produce identical bytes: sensing is pure
-    /// (`&self`, no RNG), every position is written exactly once, and no
-    /// result depends on evaluation order — only the unit of pool
-    /// dispatch changes.
-    fn sense_all(&self, sampling: &[usize]) -> Vec<EnvSample> {
-        let nodes = &self.nodes;
-        let scene = &self.scene;
-        let now = self.now;
-        match &self.shard_map {
-            Some(map) if map.shards() > 1 => {
-                let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); map.shards()];
-                for (pos, &idx) in sampling.iter().enumerate() {
-                    groups[map.shard_of(idx)].push((pos, idx));
-                }
-                let per_shard = self.pool.par_map(&groups, |group| {
-                    group
-                        .iter()
-                        .map(|&(pos, idx)| (pos, nodes[idx].sense_environment(scene, now)))
-                        .collect::<Vec<(usize, EnvSample)>>()
-                });
-                let mut envs: Vec<Option<EnvSample>> = vec![None; sampling.len()];
-                for (pos, env) in per_shard.into_iter().flatten() {
-                    envs[pos] = Some(env);
-                }
-                envs.into_iter()
-                    .map(|e| e.expect("every sampling position sensed by exactly one shard"))
-                    .collect()
-            }
-            _ => self
-                .pool
-                .par_map(sampling, |&idx| nodes[idx].sense_environment(scene, now)),
-        }
-    }
-
     /// Evaluates the scene for node `idx` at simulation time `t`
     /// (Phase A, part 2, for one node).
     ///
@@ -1400,13 +1458,13 @@ impl IntrusionDetectionSystem {
     ///   accelerometer and detector in node order, consuming the shared RNG
     ///   exactly as the original single-loop implementation did.
     ///
-    /// Phase A is batched over windows of 32 ticks (0.64 s at 50 Hz):
-    /// after a window's first [`begin_tick`](Self::begin_tick), one
-    /// [`Pool::par_map`](sid_exec::Pool::par_map) senses that tick's
-    /// sampling set for every tick of the window (one task per node), at
-    /// tick times accumulated with the pipeline's own `now += dt`
-    /// additions. Later ticks of the window read those samples by node;
-    /// a node that joins the sampling set mid-window, or any tick whose
+    /// Phase A is batched over windows of 32 ticks (0.64 s at 50 Hz),
+    /// shared with [`run_events`](Self::run_events): at a window's first
+    /// sensing tick, one [`Pool::par_map`](sid_exec::Pool::par_map)
+    /// senses that tick's sampling set at every tick time of the window
+    /// (one task per node), accumulated with the pipeline's own
+    /// `now += dt` additions. Later ticks read those samples by node; a
+    /// node that joins the sampling set mid-window, or any tick whose
     /// clock bits differ from the precomputed time, is sensed inline at
     /// its own tick. Sensing is pure in time ([`sense_at`](Self::sense_at)),
     /// so every tick sees exactly the samples the per-tick
@@ -1417,64 +1475,12 @@ impl IntrusionDetectionSystem {
     pub fn run(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let mut sampling: Vec<usize> = Vec::with_capacity(self.nodes.len());
-        let mut window_nodes: Vec<usize> = Vec::with_capacity(self.nodes.len());
-        let mut times: Vec<f64> = Vec::with_capacity(PHASE_A_WINDOW_TICKS as usize);
         let mut envs: Vec<EnvSample> = Vec::with_capacity(self.nodes.len());
-        let mut done = 0;
-        while done < steps {
-            let len = (steps - done).min(PHASE_A_WINDOW_TICKS);
-            done += len;
+        let mut window = SenseWindow::default();
+        for tick in 0..steps {
             self.begin_tick(&mut sampling);
-            // Phase A, part 2, for the whole window: replicate the
-            // `now += dt` accumulation of the ticks to come, then sense
-            // this tick's sampling set at all of them. Pure (`&self`,
-            // no RNG), so the pool fans it out; results are placed by
-            // input index.
-            let sense_span = if self.obs_enabled {
-                self.obs.span(Stage::PhaseASense)
-            } else {
-                None
-            };
-            let dt = self.tick_dt();
-            let mut t = self.now;
-            times.clear();
-            times.push(t);
-            for _ in 1..len {
-                t += dt;
-                times.push(t);
-            }
-            let (nodes, scene, times) = (&self.nodes, &self.scene, &times);
-            let blocks: Vec<Vec<EnvSample>> = self.pool.par_map(&sampling, |&idx| {
-                times
-                    .iter()
-                    .map(|&t| nodes[idx].sense_environment(scene, t))
-                    .collect()
-            });
-            drop(sense_span);
-            // Sampling sets are in node order, so a node's row in
-            // `blocks` is found by binary search.
-            window_nodes.clone_from(&sampling);
-            for (tick, &t) in times.iter().enumerate() {
-                if tick > 0 {
-                    self.begin_tick(&mut sampling);
-                }
-                let precomputed = self.now.to_bits() == t.to_bits();
-                let mut inline_span = None;
-                envs.clear();
-                for &idx in &sampling {
-                    envs.push(match window_nodes.binary_search(&idx) {
-                        Ok(row) if precomputed => blocks[row][tick],
-                        _ => {
-                            if inline_span.is_none() && self.obs_enabled {
-                                inline_span = self.obs.span(Stage::PhaseASense);
-                            }
-                            self.sense_at(idx, self.now)
-                        }
-                    });
-                }
-                drop(inline_span);
-                self.finish_tick(&sampling, &envs);
-            }
+            window.sense(self, tick, steps, &sampling, &mut envs);
+            self.finish_tick(&sampling, &envs);
         }
         self.trace.elapsed = self.now;
     }
@@ -1545,8 +1551,11 @@ impl IntrusionDetectionSystem {
     /// buckets and each bucket is processed in ascending node order,
     /// mirroring the eager loop's index-ordered sweeps. Awake nodes keep
     /// the exact Phase A/B split of [`run`](Self::run), so the shared
-    /// RNG is
-    /// consumed in the same order and the journal stays byte-identical.
+    /// RNG is consumed in the same order and the journal stays
+    /// byte-identical. Phase A senses through the same 32-tick windows as
+    /// `run`, counted in ticks rather than sensing ticks: a skipped idle
+    /// tick still uses up its window slot, so one call makes at most
+    /// ⌈ticks / 32⌉ pool dispatches.
     pub fn run_events(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let dt = self.tick_dt();
@@ -1620,6 +1629,8 @@ impl IntrusionDetectionSystem {
         let mut wake_due: Vec<usize> = Vec::new();
         let mut slept_now: Vec<usize> = Vec::new();
         let mut newly_active: Vec<usize> = Vec::new();
+        let mut envs: Vec<EnvSample> = Vec::with_capacity(n);
+        let mut window = SenseWindow::default();
 
         for _ in 0..steps {
             // The skip decision uses the exact clock value this tick
@@ -1821,13 +1832,7 @@ impl IntrusionDetectionSystem {
 
             // Phase A part 2 + Phase B + deliveries + clusters + alerts:
             // the exact seam `run` uses, on the active set.
-            let sense_span = if self.obs_enabled {
-                self.obs.span(Stage::PhaseASense)
-            } else {
-                None
-            };
-            let envs = self.sense_all(&active_list);
-            drop(sense_span);
+            window.sense(self, self.tick_index - 1, steps, &active_list, &mut envs);
             self.finish_tick(&active_list, &envs);
 
             // --- Re-arm time-driven wake-ups. ---
@@ -2352,17 +2357,19 @@ mod tests {
 
     #[test]
     fn sharded_run_is_byte_identical_to_unsharded() {
-        // The same scenario unsharded and 2-, 4- and 16-sharded, on both
-        // drivers: every journal must be byte-identical, and the shard
-        // accessor must report the partition. The 5x5 grid occupies only
-        // 4 radio-range cell columns, so K = 16 leaves most Phase-A
-        // groups empty.
+        // The shard count is recorded, not acted on: the accessor reports
+        // it, and a 4-sharded run on either driver journals exactly the
+        // unsharded tick sweep's bytes.
+        for shards in [0usize, 1, 2, 16] {
+            let sys = IntrusionDetectionSystem::new(build_scene(2, true), quiet_config(), 43)
+                .with_shards(shards);
+            assert_eq!(sys.shards(), shards.max(1));
+        }
         let journal_of = |shards: usize, events: bool| {
             let obs = sid_obs::Obs::in_memory();
             let mut sys = IntrusionDetectionSystem::new(build_scene(2, true), quiet_config(), 43)
                 .with_obs(obs.clone())
                 .with_shards(shards);
-            assert_eq!(sys.shards(), shards.max(1));
             if events {
                 sys.run_events(300.0);
             } else {
@@ -2375,12 +2382,10 @@ mod tests {
         };
         let (reference, ref_trace) = journal_of(1, false);
         assert!(!reference.is_empty());
-        for shards in [2usize, 4, 16] {
-            for events in [false, true] {
-                let (journal, trace) = journal_of(shards, events);
-                assert_eq!(journal, reference, "shards={shards} events={events}");
-                assert_eq!(&trace, &ref_trace);
-            }
+        for events in [false, true] {
+            let (journal, trace) = journal_of(4, events);
+            assert_eq!(journal, reference, "events={events}");
+            assert_eq!(&trace, &ref_trace);
         }
     }
 

@@ -27,7 +27,7 @@
 //! | `alert_suppression_correct` | an independent alert-edge replay reproduces every emit/suppress/coalesce/reload decision; no suppressed alert is lost without a matching summary record; token-bucket accounting is exact |
 //! | `frontend_equivalence` | every window a paper-default `StreamEngine` classifies on its rfft/Parseval fast path gets the same verdict from `classify_window_reference` (full complex FFT, time-domain wavelet) on the rebuilt raw frame, with the wavelet observable within 0.05 |
 //! | `scheduler_equivalence` | the event-driven scheduler (`run_events`) reproduces the fixed-tick sweep's journal, stage counts, trace and final clock byte-for-byte |
-//! | `shard_equivalence` | partitioning the deployment into K ∈ {2, 4} spatial shards reproduces the unsharded journal byte-for-byte at 1/2/4/8 worker threads, including across a mid-episode `sid-serve` checkpoint/migrate/resume that changes both the pool width and the shard count |
+//! | `shard_equivalence` | a recorded shard count of K ∈ {2, 4} reproduces the unsharded journal byte-for-byte at 1/2/4/8 worker threads, including across a mid-episode `sid-serve` checkpoint/migrate/resume that changes both the pool width and the shard count |
 
 use sid_alert::{AlertEdge, AlertInput};
 use sid_obs::{Event, StageCounts};
@@ -692,10 +692,10 @@ fn scheduler_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
     }
 }
 
-/// The region-sharding contract: partitioning the deployment into K
-/// spatial shards — Phase A sensing handed to the worker pool one shard
-/// per task — is an *execution strategy*, not a semantic change. Three
-/// legs:
+/// The shard-count contract: a session's recorded shard count K and
+/// the worker pool's width are *execution settings*, not semantic
+/// changes (the count no longer changes dispatch; Phase A is one pool
+/// task per node over 32-tick windows at any K). Three legs:
 ///
 /// 1. sharded `run_events` reruns at K ∈ {2, 4} across 1/2/4/8 worker
 ///    threads must reproduce the unsharded journal, counts and trace

@@ -142,11 +142,11 @@ pub struct Scenario {
     /// Set on a deterministic subset of seeds — every run costs one
     /// extra simulation.
     pub check_sched: bool,
-    /// Rerun with the deployment partitioned into K ∈ {2, 4} spatial
-    /// shards at several pool widths — plus one mid-episode
-    /// checkpoint/migrate/resume through `sid-serve` — and require
-    /// byte-identical journals throughout (`shard_equivalence` oracle).
-    /// Set on a deterministic subset of seeds.
+    /// Rerun with a shard count of K ∈ {2, 4} at several pool widths —
+    /// plus one mid-episode checkpoint/migrate/resume through
+    /// `sid-serve` — and require byte-identical journals throughout
+    /// (`shard_equivalence` oracle). Set on a deterministic subset of
+    /// seeds.
     pub check_shard: bool,
     /// Fleet-class deployment ([`Scenario::fleet`]): `Some` overrides
     /// the grid fields with a clustered free-form coastline of 200–2000
@@ -291,7 +291,7 @@ impl Scenario {
             // Every eighth seed, offset to stay disjoint from the other
             // equivalence populations (`%8==5` is odd, so it never
             // overlaps the %4/%8/%16/%32 == 0 subsets or `%4==2`): the
-            // region-sharding equivalence rerun with a mid-episode
+            // shard-count equivalence rerun with a mid-episode
             // migration. Arithmetic like its siblings — derived after
             // every RNG draw, so no existing scenario changed.
             check_shard: seed % 8 == 5,
@@ -726,9 +726,8 @@ pub fn execute_events(scenario: &Scenario, sabotage: Sabotage) -> RunReport {
     }
 }
 
-/// Runs a scenario through the event-driven scheduler with the
-/// deployment partitioned into `shards` spatial regions, Phase-A
-/// sensing grouped into one pool task per region. The report must be
+/// Runs a scenario through the event-driven scheduler with a recorded
+/// shard count of `shards` on a `threads`-wide pool. The report must be
 /// byte-identical to [`execute`] at any `(threads, shards)` — the
 /// `shard_equivalence` oracle enforces exactly that.
 pub fn execute_sharded(

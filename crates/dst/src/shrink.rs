@@ -124,7 +124,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         push(c);
     }
 
-    // And for the region-sharding equivalence rerun (four extra
+    // And for the shard-count equivalence rerun (four extra
     // simulations plus three serve sessions per execution).
     if s.check_shard {
         let mut c = s.clone();

@@ -46,7 +46,6 @@ pub mod fault;
 mod ids;
 pub mod localization;
 pub mod radio;
-pub mod shard;
 pub mod sim;
 pub mod timesync;
 pub mod topology;
@@ -56,7 +55,6 @@ pub use fault::{BurstState, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, G
 pub use localization::{trilaterate, LocalizationError, LocalizationFix, RangeMeasurement};
 pub use ids::{CellId, NodeId};
 pub use radio::RadioModel;
-pub use shard::ShardMap;
 pub use sim::{CongestionModel, Delivery, EventScheduler, NetStats, Network};
 pub use timesync::SyncModel;
 pub use topology::{NeighborIndex, Position, Topology, SPATIAL_HASH_THRESHOLD};

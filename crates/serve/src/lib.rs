@@ -4,10 +4,10 @@
 //! reproduction (DESIGN.md §17): a [`SessionManager`] multiplexes N
 //! independent tenant sessions — each a full detection pipeline with
 //! its own seed, scenario, journal, and alerting edge — over one shared
-//! `sid-exec` worker pool. Inside a session, [`SessionSpec::with_shards`]
-//! partitions the deployment into K spatial regions whose per-tick
-//! sensing runs as one pool task per region; radio deliveries stay on
-//! the pipeline's single `(time, seq)` queue.
+//! `sid-exec` worker pool. A session records the spatial shard count
+//! it was opened with ([`SessionSpec::with_shards`]) and carries it
+//! through checkpoints; the count no longer changes dispatch, since the
+//! pipeline senses one pool task per node over 32-tick windows.
 //!
 //! Everything stays deterministic: a session's journal is a pure
 //! function of its builder + seed + advance schedule, byte-identical at
@@ -111,8 +111,9 @@ pub struct SessionSpec {
     /// The session's deterministic seed (informational — the builder
     /// closure is what actually consumes it).
     pub seed: u64,
-    /// Spatial shards the deployment is partitioned into (1 = unsharded;
-    /// see [`IntrusionDetectionSystem::with_shards`]).
+    /// Spatial shard count (1 = unsharded). Recorded and carried through
+    /// checkpoints; it does not change dispatch (see
+    /// [`IntrusionDetectionSystem::with_shards`]).
     pub shards: usize,
 }
 
@@ -126,7 +127,7 @@ impl SessionSpec {
         }
     }
 
-    /// Requests a K-shard region partition for the session.
+    /// Records a K-shard count for the session (carried, not acted on).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -368,7 +369,7 @@ impl SessionManager {
     /// Opens a session: `build` constructs the tenant's pipeline
     /// (scene + config + seed — *without* attaching obs or a pool), and
     /// the manager wires in its own in-memory journal, the shared
-    /// worker pool, and the spec's shard partition. The same builder
+    /// worker pool, and the spec's shard count. The same builder
     /// must be supplied again on [`resume`](Self::resume).
     pub fn open(
         &mut self,
@@ -464,9 +465,10 @@ impl SessionManager {
         self.resume_with_shards(checkpoint, checkpoint.shards, build)
     }
 
-    /// [`resume`](Self::resume) with a different shard partition — a
-    /// rebalancing migration. Journals are shard-count-invariant, so the
-    /// integrity gate still must pass bit-for-bit.
+    /// [`resume`](Self::resume) recording a different shard count — a
+    /// rebalancing migration. The count does not change dispatch and
+    /// journals are shard-count-invariant, so the integrity gate still
+    /// must pass bit-for-bit.
     ///
     /// # Errors
     ///

@@ -40,11 +40,13 @@ obs-smoke:
 
 # Deterministic simulation-testing smoke (see DESIGN.md §11): 200 seeds
 # through the sid-dst scenario generator, all invariant oracles, zero
-# violations expected. Failing seeds are shrunk and persisted to
-# results/DST_failures.json; replay one with
-# `cargo run --release -p sid-bench --bin dst -- --seed <n>`.
+# violations expected, and the population's deterministic summary must
+# equal the committed results/DST_summary.json (writes nothing). Replay
+# a failing seed with
+# `cargo run --release -p sid-bench --bin dst -- --seed <n>`; a run
+# without `--no-write` shrinks failures into results/DST_failures.json.
 dst-smoke:
-    cargo run --release -p sid-bench --bin dst -- --seeds 200 --seed-start 1000
+    cargo run --release -p sid-bench --bin dst -- --seeds 200 --seed-start 1000 --no-write --check
 
 # Alerting-edge smoke (see DESIGN.md §13): the fixture alert storm must
 # ignite (suppressions + coalesced summaries + one rejected and one
@@ -86,9 +88,9 @@ dsp-smoke:
     cargo run --release -p sid-bench --bin dsp_bench -- --quick
 
 # Streaming-throughput regression gate: re-measure the engine section
-# and fail if sustained samples/sec fell more than 20% below the
-# committed results/BENCH_stream.json baseline. Reads the baseline
-# before measuring and writes nothing. Part of tier1.
+# five times and fail if the median sustained samples/sec fell more
+# than 20% below the committed results/BENCH_stream.json baseline.
+# Reads the baseline before measuring and writes nothing. Part of tier1.
 stream-gate:
     cargo run --release -p sid-bench --bin stream_bench -- --quick --check --threads 1
 

@@ -19,7 +19,7 @@
 //! | [`acoustic`] | `sid-acoustic` | Underwater acoustics + fusion (the paper's future work) |
 //! | [`exec`] | `sid-exec` | Deterministic fork–join worker pool (`par_map`) |
 //! | [`stream`] | `sid-stream` | Push-based streaming driver + online detection engine |
-//! | [`serve`] | `sid-serve` | Multi-tenant session manager: sharded pipelines, checkpoint/migrate/resume |
+//! | [`serve`] | `sid-serve` | Multi-tenant session manager: per-tenant pipelines on one pool, checkpoint/migrate/resume |
 //! | [`obs`] | `sid-obs` | Structured tracing, counters and per-stage timing |
 //! | [`alert`] | `sid-alert` | Alerting edge: severity, rate limiting, storm suppression, JSONL/CEF |
 //!
